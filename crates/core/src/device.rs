@@ -516,8 +516,7 @@ impl PimDevice {
     ///
     /// [`PimError::BadConfig`] when more queues than banks are supplied.
     pub fn schedule_queues(&self, queues: &[Vec<Program>]) -> Result<QueueReport, PimError> {
-        let qt = sched::schedule_queues(&self.config, queues)?;
-        Ok(QueueReport::from_queues(&qt))
+        self.schedule_queues_dag(&sched::plain_queues(queues))
     }
 
     /// [`Self::schedule_queues`] with dependency barriers
@@ -525,6 +524,11 @@ impl PimDevice {
     /// *split large transform*, where stage-1 column sub-jobs all signal
     /// one barrier and the stage-2 row sub-jobs wait on it. Ordinary
     /// programs ride in the same queues untagged and are never gated.
+    ///
+    /// The report is built without per-command events: the issue loop
+    /// runs with its event sink discarding, since nothing here reads the
+    /// full timeline. The values equal [`QueueReport`]'s view of
+    /// [`crate::sched::schedule_queues_dag`]'s full timeline.
     ///
     /// # Errors
     ///
@@ -534,7 +538,7 @@ impl PimDevice {
         &self,
         queues: &[Vec<sched::DagJob<'_>>],
     ) -> Result<QueueReport, PimError> {
-        let qt = sched::schedule_queues_dag(&self.config, queues)?;
+        let qt = sched::schedule_queues_untraced(&self.config, queues)?;
         Ok(QueueReport::from_queues(&qt))
     }
 
@@ -1131,6 +1135,201 @@ mod tests {
             merged.absorb_serial(&skinny);
         });
         assert!(result.is_err());
+    }
+
+    /// Mixed forward / inverse / negacyclic-polymul queues with
+    /// `per_bank` programs on every bank of the device, so each bank
+    /// closes its row between programs at least once.
+    fn mixed_queues(dev: &mut PimDevice, per_bank: usize) -> Vec<Vec<Program>> {
+        let config = dev.config;
+        (0..config.total_banks())
+            .map(|bank| {
+                (0..per_bank)
+                    .map(|j| {
+                        let kind = (bank + j) % 3;
+                        let n = [64usize, 256, 128][(bank + 2 * j) % 3];
+                        let x = poly(n, (bank * 31 + j) as u64);
+                        match kind {
+                            0 => {
+                                let h = dev
+                                    .load_in_bank(bank, 0, &x, Q, StoredOrder::BitReversed)
+                                    .unwrap();
+                                dev.build_ntt_program(&h, NttDirection::Forward).unwrap()
+                            }
+                            1 => {
+                                let h = dev
+                                    .load_in_bank(bank, 0, &x, Q, StoredOrder::Natural)
+                                    .unwrap();
+                                dev.build_ntt_program(&h, NttDirection::Inverse).unwrap()
+                            }
+                            _ => {
+                                let base = config.polymul_rhs_base(n);
+                                let a = dev
+                                    .load_in_bank(bank, 0, &x, Q, StoredOrder::Natural)
+                                    .unwrap();
+                                let b = dev
+                                    .load_in_bank(bank, base, &x, Q, StoredOrder::Natural)
+                                    .unwrap();
+                                dev.polymul_program(&a, &b).unwrap()
+                            }
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A 16×16 split of N = 256 fanned across the device, co-packed
+    /// behind one ordinary job per bank: column sub-jobs signal barrier
+    /// 0 and the twiddle+row sub-jobs wait on it, rows at the back of
+    /// each bank queue.
+    fn split_programs(dev: &mut PimDevice) -> (Vec<Program>, Vec<Program>, Vec<Program>) {
+        let banks = dev.config.total_banks();
+        let (n, rows, cols) = (256usize, 16usize, 16usize);
+        let q = Q as u64;
+        let omega = modmath::prime::root_of_unity(n as u64, q).unwrap();
+        let col_root = modmath::arith::pow_mod(omega, cols as u64, q) as u32;
+        let row_root = modmath::arith::pow_mod(omega, rows as u64, q) as u32;
+        let x = poly(rows, 5);
+        let columns = (0..cols)
+            .map(|c| {
+                let h = dev
+                    .load_in_bank(c % banks, 0, &x, Q, StoredOrder::BitReversed)
+                    .unwrap();
+                dev.build_column_program(&h, col_root).unwrap()
+            })
+            .collect();
+        let y = poly(cols, 6);
+        let row_progs = (0..rows)
+            .map(|r| {
+                let tw = modmath::arith::pow_mod(omega, r as u64, q) as u32;
+                let h = dev
+                    .load_in_bank(r % banks, 0, &y, Q, StoredOrder::Natural)
+                    .unwrap();
+                dev.build_twiddle_row_program(&h, row_root, tw).unwrap()
+            })
+            .collect();
+        let ordinary = (0..banks)
+            .map(|bank| {
+                let h = dev
+                    .load_in_bank(
+                        bank,
+                        0,
+                        &poly(128, bank as u64),
+                        Q,
+                        StoredOrder::BitReversed,
+                    )
+                    .unwrap();
+                dev.build_ntt_program(&h, NttDirection::Forward).unwrap()
+            })
+            .collect();
+        (ordinary, columns, row_progs)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Field-by-field, bit-for-bit report equality.
+    fn assert_same_report(fast: &QueueReport, full: &QueueReport, what: &str) {
+        let ends =
+            |r: &QueueReport| -> Vec<Vec<u64>> { r.job_end_ns.iter().map(|e| bits(e)).collect() };
+        assert_eq!(ends(fast), ends(full), "{what}: job_end_ns");
+        assert_eq!(
+            bits(&fast.per_bank_ns),
+            bits(&full.per_bank_ns),
+            "{what}: per_bank_ns"
+        );
+        assert_eq!(
+            bits(&fast.per_bank_energy_nj),
+            bits(&full.per_bank_energy_nj),
+            "{what}: per_bank_energy_nj"
+        );
+        assert_eq!(
+            fast.latency_ns.to_bits(),
+            full.latency_ns.to_bits(),
+            "{what}: latency"
+        );
+        assert_eq!(
+            fast.energy_nj.to_bits(),
+            full.energy_nj.to_bits(),
+            "{what}: energy"
+        );
+        assert_eq!(fast.bus_slots, full.bus_slots, "{what}: bus_slots");
+        assert_eq!(fast.rank_acts, full.rank_acts, "{what}: rank_acts");
+        assert_eq!(
+            fast.per_channel_bus_slots, full.per_channel_bus_slots,
+            "{what}: per_channel_bus_slots"
+        );
+        assert_eq!(
+            fast.per_rank_acts, full.per_rank_acts,
+            "{what}: per_rank_acts"
+        );
+        assert_eq!(
+            bits(&fast.barrier_ns),
+            bits(&full.barrier_ns),
+            "{what}: barrier_ns"
+        );
+    }
+
+    #[test]
+    fn event_free_reports_match_full_timelines() {
+        use crate::config::Topology;
+        use crate::sched::DagJob;
+        let configs = [
+            PimConfig::hbm2e(2),
+            PimConfig::hbm2e(2).with_banks(16),
+            PimConfig::hbm2e(2).with_topology(Topology::new(2, 2, 4)),
+            PimConfig::hbm2e(2)
+                .with_topology(Topology::new(2, 2, 4))
+                .with_refresh(true),
+        ];
+        for config in configs {
+            let what = format!("{} refresh={}", config.topology, config.refresh);
+            let mut dev = PimDevice::new(config).unwrap();
+            let queues = mixed_queues(&mut dev, 3);
+            let full = sched::schedule_queues(&config, &queues).unwrap();
+            assert_same_report(
+                &dev.schedule_queues(&queues).unwrap(),
+                &QueueReport::from_queues(&full),
+                &format!("{what} queues"),
+            );
+            if config.refresh {
+                // The refresh deadline runs on the last issue time, which
+                // the event-free path tracks without events: make sure
+                // refreshes actually fired in the compared schedule.
+                assert!(
+                    full.banks.iter().all(|t| t.counters.refreshes > 0),
+                    "{what}"
+                );
+            }
+
+            let (ordinary, columns, rows) = split_programs(&mut dev);
+            let banks = config.total_banks();
+            let mut dag: Vec<Vec<DagJob>> =
+                ordinary.iter().map(|p| vec![DagJob::plain(p)]).collect();
+            for (c, program) in columns.iter().enumerate() {
+                dag[c % banks].push(DagJob {
+                    program,
+                    waits_on: None,
+                    signals: Some(0),
+                });
+            }
+            for (r, program) in rows.iter().enumerate() {
+                dag[r % banks].push(DagJob {
+                    program,
+                    waits_on: Some(0),
+                    signals: None,
+                });
+            }
+            let full = sched::schedule_queues_dag(&config, &dag).unwrap();
+            assert_eq!(full.barrier_ps.len(), 1);
+            assert_same_report(
+                &dev.schedule_queues_dag(&dag).unwrap(),
+                &QueueReport::from_queues(&full),
+                &format!("{what} split DAG"),
+            );
+        }
     }
 
     #[test]

@@ -65,10 +65,20 @@ impl CommandBus {
 /// a strictly monotonic [`CommandBus`] would. This is the bus model
 /// behind bank-parallel batch execution
 /// (`ntt_pim_core::sched::schedule_parallel`).
+///
+/// Occupancy is a growable bitmap with one bit per memory cycle, from
+/// cycle 0 up to the latest claimed slot: bit `s % 64` of word `s / 64`
+/// is set once slot `s` is taken. A claim masks off the bits below the
+/// requested slot and takes the first clear bit with `trailing_zeros`,
+/// scanning a whole 64-cycle word per step, so earlier free slots are
+/// backfilled exactly like a sorted set of taken slots would. The cost
+/// is memory: one bit per cycle of the schedule span, about 33 KB per
+/// channel for a 220 µs batch at the HBM2E 833 ps cycle.
 #[derive(Debug, Clone)]
 pub struct FairBus {
     cycle_ps: u64,
-    taken: std::collections::BTreeSet<u64>,
+    taken: Vec<u64>,
+    issued: u64,
 }
 
 impl FairBus {
@@ -81,29 +91,35 @@ impl FairBus {
         assert!(cycle_ps > 0, "bus needs a non-zero cycle");
         Self {
             cycle_ps,
-            taken: std::collections::BTreeSet::new(),
+            taken: Vec::new(),
+            issued: 0,
         }
     }
 
     /// Claims the first free slot `>= at_ps` and returns its time.
     pub fn claim(&mut self, at_ps: u64) -> u64 {
-        let mut slot = at_ps.div_ceil(self.cycle_ps);
-        // One ordered walk over the occupied run, instead of a separate
-        // tree lookup per candidate slot (saturated buses made that
-        // quadratic-with-log over large batch schedules).
-        for &t in self.taken.range(slot..) {
-            if t > slot {
-                break;
+        let first = at_ps.div_ceil(self.cycle_ps);
+        let mut word = (first / 64) as usize;
+        let mut free_mask = !0u64 << (first % 64);
+        loop {
+            if word >= self.taken.len() {
+                self.taken.resize(word + 1, 0);
             }
-            slot = t + 1;
+            let free = !self.taken[word] & free_mask;
+            if free != 0 {
+                let bit = free.trailing_zeros();
+                self.taken[word] |= 1 << bit;
+                self.issued += 1;
+                return (word as u64 * 64 + u64::from(bit)) * self.cycle_ps;
+            }
+            word += 1;
+            free_mask = !0;
         }
-        self.taken.insert(slot);
-        slot * self.cycle_ps
     }
 
     /// Slots claimed so far.
     pub fn issued(&self) -> u64 {
-        self.taken.len() as u64
+        self.issued
     }
 
     /// Bus utilization over `[0, horizon_ps)`.
