@@ -1,9 +1,8 @@
-//! Throughput of batched, bank-parallel NTT execution through the
-//! unified engine layer: `BatchExecutor` fanning a fixed 16-job batch
-//! across 1, 4, and 16 banks; the scheduling-policy comparison on a
-//! skewed mixed-size batch (LPT bin-packing + async drain vs round-robin
-//! waves); and the sequential CPU yardstick via the same `NttEngine`
-//! trait.
+//! Throughput of batched, bank-parallel NTT execution: `BatchExecutor`
+//! fanning a fixed 16-job batch across 1, 4, and 16 banks; the
+//! scheduling-policy comparison on a skewed mixed-size batch (LPT
+//! bin-packing + async drain vs round-robin waves); and the sequential
+//! golden CPU yardstick (`run_sequential`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ntt_pim::engine::batch::{run_sequential, BatchExecutor, NttJob, SchedulePolicy};

@@ -31,7 +31,7 @@
 
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
-use ntt_service::{FleetRouter, NttService, ServiceConfig, ServiceError};
+use ntt_service::{BackendSpec, FleetRouter, NttService, ServiceConfig, ServiceError};
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
@@ -100,7 +100,12 @@ fn run_point(devices: usize, jobs: &[NttJob], golden: &[Vec<u64>]) -> Point {
         .map(|_| PimConfig::hbm2e(2).with_topology(TOPOLOGY))
         .collect();
     // Threshold 0: spread every multi-job burst across the whole fleet.
-    let mut router = FleetRouter::new(&configs, 0.0).expect("valid fleet config");
+    let models = configs
+        .iter()
+        .map(|&c| BackendSpec::Pim(c).cost_model())
+        .collect::<Result<Vec<_>, _>>()
+        .expect("valid fleet config");
+    let mut router = FleetRouter::with_backends(models, 0.0);
     let routing = router.route(jobs);
     assert!(routing.unroutable.is_empty(), "burst is valid everywhere");
     let placed: usize = routing.placements.iter().map(|p| p.jobs.len()).sum();

@@ -23,8 +23,8 @@
 //!   above the threshold even if batches split under scheduler noise).
 
 use ntt_pim::core::config::{PimConfig, Topology};
+use ntt_pim::core::device::{NttDirection, PimDevice};
 use ntt_pim::engine::batch::{BatchExecutor, NttJob};
-use ntt_pim::engine::{NttEngine, PimDeviceEngine};
 use ntt_service::{NttService, ServiceConfig, ServiceError};
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
@@ -90,15 +90,21 @@ struct Point {
 /// batching-free front-end would deliver). Returns summed simulated
 /// latency and the per-request golden outputs.
 fn run_serial(jobs: &[NttJob]) -> (f64, Vec<Vec<u64>>) {
-    let mut engine = PimDeviceEngine::new(PimConfig::hbm2e(2).with_topology(TOPOLOGY))
-        .expect("valid serial config");
+    let mut device =
+        PimDevice::new(PimConfig::hbm2e(2).with_topology(TOPOLOGY)).expect("valid serial config");
     let mut total_ns = 0.0;
     let mut outputs = Vec::with_capacity(jobs.len());
     for job in jobs {
-        let mut data = job.coeffs.clone();
-        let report = engine.forward(&mut data, job.q).expect("valid serial job");
-        total_ns += report.latency_ns;
-        outputs.push(data);
+        let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();
+        let mut handle = device
+            .load_polynomial_bitrev(0, &words, job.q as u32)
+            .expect("valid serial job");
+        let report = device
+            .ntt_in_place(&mut handle, NttDirection::Forward)
+            .expect("valid serial job");
+        total_ns += report.latency_ns();
+        let spectrum = device.read_polynomial(&handle).expect("valid serial job");
+        outputs.push(spectrum.into_iter().map(u64::from).collect());
     }
     (total_ns, outputs)
 }

@@ -8,15 +8,14 @@
 //! cross-backend parity tests pin, and what makes cost-aware routing a
 //! pure performance decision.
 
-use crate::cost::{
-    group_jobs, kind_factor, kind_factor_tag, BusCostModel, CpuLaneCostModel, PublishedCostModel,
-};
+use crate::cost::{BusCostModel, CpuLaneCostModel, PublishedCostModel};
 use crate::window::{BackendKind, CapabilityWindow};
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::device::QueueReport;
 use ntt_pim::core::PimError;
 use ntt_pim::engine::batch::{
-    run_lane_batched, run_sequential, BatchExecutor, NttJob, SchedulePolicy,
+    group_by_shape, run_lane_batched, run_sequential, BatchExecutor, DeviceCostModel, LaneOp,
+    NttJob, SchedulePolicy,
 };
 use ntt_pim::engine::{CpuDataflow, CpuNttEngine, EngineError, ReportSource};
 use ntt_pim::reference::cache::PlanCache;
@@ -190,7 +189,7 @@ impl NttBackend for PimBackend {
 
     fn cost_model(&self) -> BusCostModel {
         // Built infallibly: the executor's config already validated.
-        BusCostModel::Pim(ntt_pim::engine::batch::DeviceCostModel::with_options(
+        BusCostModel::Pim(DeviceCostModel::with_options(
             *self.exec.config(),
             Default::default(),
         ))
@@ -291,9 +290,9 @@ impl NttBackend for CpuLanesBackend {
         let mut queue = QueueReport::empty(lanes, 1, 1);
         let mut job_latency_ns = vec![0.0; jobs.len()];
         let mut now = 0.0f64;
-        for group in group_jobs(jobs) {
-            let unit = kind_factor_tag(group.tag) * self.cost.transform_cost(group.n);
-            for wave in group.indices.chunks(lanes) {
+        for group in group_by_shape(jobs) {
+            let unit = group.op.transforms() * self.cost.transform_cost(group.n);
+            for wave in group.jobs.chunks(lanes) {
                 now += unit;
                 for (lane, &i) in wave.iter().enumerate() {
                     queue.job_end_ns[lane].push(now);
@@ -394,7 +393,7 @@ impl NttBackend for PublishedBackend {
         let mut energy_nj = 0.0;
         let mut now = 0.0f64;
         for job in jobs {
-            let factor = kind_factor(&job.kind);
+            let factor = LaneOp::of(&job.kind).transforms();
             // Admission guarantees a published point exists.
             let unit = factor * self.model.latency_ns(job.n()).unwrap_or(0.0);
             energy_nj += factor * self.model.energy_nj(job.n()).unwrap_or(0.0);
@@ -416,5 +415,36 @@ impl NttBackend for PublishedBackend {
             queue_report: queue,
             source: ReportSource::Published,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn published_backend_reports_published_points() {
+        let q = 12289u64;
+        let coeffs = |n: u64| (0..n).map(|i| i * 7 % q).collect::<Vec<u64>>();
+        let mut mentt = PublishedBackend::mentt();
+        let jobs = [
+            NttJob::forward(coeffs(256), q),
+            NttJob::negacyclic_polymul(coeffs(256), coeffs(256), q),
+        ];
+        let out = mentt.run(&jobs).unwrap();
+        assert_eq!(out.source, ReportSource::Published);
+        // MeNTT's published N=256 point; a product prices three of them.
+        assert_eq!(out.job_latency_ns, [23_000.0, 69_000.0]);
+        assert_eq!(out.latency_ns, 92_000.0);
+        // MeNTT caps at 1K, and a malformed second operand is rejected
+        // by admission before anything runs.
+        let big = NttJob::forward(coeffs(2048), q);
+        assert!(matches!(
+            mentt.admit(&big),
+            Err(EngineError::Unsupported { .. })
+        ));
+        let short_rhs = NttJob::negacyclic_polymul(coeffs(256), coeffs(128), q);
+        let err = mentt.run(&[short_rhs]).unwrap_err();
+        assert!(matches!(&err, EngineError::Shape { reason } if reason.contains("job 0")));
     }
 }

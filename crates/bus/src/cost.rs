@@ -21,7 +21,7 @@
 
 use crate::window::{validate_shape, BackendKind, CapabilityWindow};
 use ntt_pim::core::config::Topology;
-use ntt_pim::engine::batch::{validate_job, DeviceCostModel, JobKind, NttJob};
+use ntt_pim::engine::batch::{group_by_shape, validate_job, DeviceCostModel, LaneOp, NttJob};
 use ntt_pim::engine::EngineError;
 use ntt_pim::reference::lanes::LANE_WIDTH;
 use pim_baselines::NttAccelerator;
@@ -58,11 +58,6 @@ impl CpuLaneCostModel {
         Self::default()
     }
 
-    /// SIMD lanes one wave fans across.
-    pub fn lanes(&self) -> usize {
-        LANE_WIDTH
-    }
-
     /// Predicted single-transform latency at length `n`, ns, memoized.
     pub fn transform_cost(&mut self, n: usize) -> f64 {
         *self.memo.entry(n).or_insert_with(|| {
@@ -78,21 +73,21 @@ impl CpuLaneCostModel {
         })
     }
 
-    /// Predicted latency of one job, ns (3× one transform for a
-    /// negacyclic product; a split job runs whole on the host).
+    /// Predicted latency of one job, ns ([`LaneOp::transforms`]
+    /// transforms; a split job runs whole on the host).
     pub fn job_cost(&mut self, job: &NttJob) -> f64 {
-        kind_factor(&job.kind) * self.transform_cost(job.n())
+        LaneOp::of(&job.kind).transforms() * self.transform_cost(job.n())
     }
 
-    /// Predicted makespan of a batch, ns: same-`(kind, n, q)` jobs are
-    /// grouped into [`LANE_WIDTH`]-wide waves (the lane kernel's shape),
-    /// groups run serially.
+    /// Predicted makespan of a batch, ns: the [`group_by_shape`] groups
+    /// (the lane kernel's unit) run serially, each in
+    /// [`LANE_WIDTH`]-wide waves.
     pub fn batch_makespan_ns(&mut self, jobs: &[NttJob]) -> f64 {
-        group_jobs(jobs)
+        group_by_shape(jobs)
             .iter()
             .map(|g| {
-                let waves = g.indices.len().div_ceil(LANE_WIDTH) as f64;
-                waves * kind_factor_tag(g.tag) * self.transform_cost(g.n)
+                let waves = g.jobs.len().div_ceil(LANE_WIDTH) as f64;
+                waves * g.op.transforms() * self.transform_cost(g.n)
             })
             .sum()
     }
@@ -139,7 +134,7 @@ impl PublishedCostModel {
     /// point covers the length (an admitted job always has one).
     pub fn job_cost(&self, job: &NttJob) -> f64 {
         match self.model.latency_ns(job.n()) {
-            Some(ns) => kind_factor(&job.kind) * ns,
+            Some(ns) => LaneOp::of(&job.kind).transforms() * ns,
             None => f64::INFINITY,
         }
     }
@@ -185,21 +180,8 @@ impl BusCostModel {
     /// The capability window the model's admission enforces.
     pub fn window(&self) -> CapabilityWindow {
         match self {
-            BusCostModel::Pim(m) => CapabilityWindow {
-                arbitrary_modulus: true,
-                native_modulus: None,
-                bitwidth: 32,
-                max_n: Some(1 << 20),
-                lanes: m.lanes(),
-            },
-            BusCostModel::CpuLanes(m) => CapabilityWindow {
-                arbitrary_modulus: true,
-                native_modulus: None,
-                // The Shoup lazy bound of the CPU kernels.
-                bitwidth: 62,
-                max_n: None,
-                lanes: m.lanes(),
-            },
+            BusCostModel::Pim(m) => CapabilityWindow::pim(m.lanes()),
+            BusCostModel::CpuLanes(_) => CapabilityWindow::cpu_lanes(),
             BusCostModel::Published(p) => {
                 let flex = p.model().flexibility();
                 CapabilityWindow {
@@ -235,31 +217,31 @@ impl BusCostModel {
 
     /// Full admission check for one job: shape first (typed
     /// [`EngineError::Shape`]), then the capability window (typed
-    /// [`EngineError::Unsupported`]). For PIM slots this additionally
-    /// runs the device-level [`validate_job`] (bank capacity, split
-    /// planning).
+    /// [`EngineError::Unsupported`]). PIM slots run the device-level
+    /// [`validate_job`], which adds bank capacity and split planning to
+    /// the same two checks; published slots also need a published point
+    /// for the length.
     ///
     /// # Errors
     ///
     /// [`EngineError::Shape`] or [`EngineError::Unsupported`]; never
     /// panics.
     pub fn admit(&self, job: &NttJob) -> Result<(), EngineError> {
+        let published = match self {
+            BusCostModel::Pim(m) => return validate_job(m.config(), job),
+            BusCostModel::CpuLanes(_) => None,
+            BusCostModel::Published(p) => Some(p),
+        };
         validate_shape(job)?;
-        self.window().admits(self.label(), job)?;
-        match self {
-            BusCostModel::Pim(m) => validate_job(m.config(), job),
-            BusCostModel::CpuLanes(_) => Ok(()),
-            BusCostModel::Published(p) => {
-                if p.model().latency_ns(job.n()).is_none() {
-                    return Err(EngineError::Unsupported {
-                        engine: p.label().to_string(),
-                        n: job.n(),
-                        q: job.q,
-                        reason: "no published point covers this length".into(),
-                    });
-                }
-                Ok(())
-            }
+        self.window().admits(self.label(), job.n(), job.q)?;
+        match published {
+            Some(p) if p.model().latency_ns(job.n()).is_none() => Err(EngineError::Unsupported {
+                engine: p.label().to_string(),
+                n: job.n(),
+                q: job.q,
+                reason: "no published point covers this length".into(),
+            }),
+            _ => Ok(()),
         }
     }
 
@@ -279,68 +261,5 @@ impl BusCostModel {
             BusCostModel::CpuLanes(m) => m.batch_makespan_ns(jobs),
             BusCostModel::Published(p) => p.batch_makespan_ns(jobs),
         }
-    }
-}
-
-/// One same-`(kind, n, q)` group of a batch, in first-seen order — the
-/// unit the CPU lane kernel (and its cost model) operates on.
-#[derive(Debug)]
-pub(crate) struct JobGroup {
-    /// Kind tag: 0 forward/split, 1 inverse, 2 polymul.
-    pub tag: u8,
-    /// Transform length.
-    pub n: usize,
-    /// Modulus.
-    pub q: u64,
-    /// Indices into the batch, in arrival order.
-    pub indices: Vec<usize>,
-}
-
-/// Groups a batch by `(kind, n, q)` in first-seen order, mirroring
-/// [`ntt_pim::engine::batch::run_lane_batched`]'s grouping so modeled
-/// timing matches executed grouping exactly.
-pub(crate) fn group_jobs(jobs: &[NttJob]) -> Vec<JobGroup> {
-    let mut groups: Vec<JobGroup> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let tag = kind_tag(&job.kind);
-        let (n, q) = (job.n(), job.q);
-        match groups
-            .iter_mut()
-            .find(|g| g.tag == tag && g.n == n && g.q == q)
-        {
-            Some(g) => g.indices.push(i),
-            None => groups.push(JobGroup {
-                tag,
-                n,
-                q,
-                indices: vec![i],
-            }),
-        }
-    }
-    groups
-}
-
-/// Collapses a job kind to its lane-grouping tag (split jobs are
-/// forward NTTs functionally).
-pub(crate) fn kind_tag(kind: &JobKind) -> u8 {
-    match kind {
-        JobKind::Forward | JobKind::SplitLarge => 0,
-        JobKind::Inverse => 1,
-        JobKind::NegacyclicPolymul { .. } => 2,
-    }
-}
-
-/// Latency multiplier of a job kind over one transform (a negacyclic
-/// product runs three transforms plus element-wise passes).
-pub(crate) fn kind_factor(kind: &JobKind) -> f64 {
-    kind_factor_tag(kind_tag(kind))
-}
-
-/// [`kind_factor`] over a pre-computed tag.
-pub(crate) fn kind_factor_tag(tag: u8) -> f64 {
-    if tag == 2 {
-        3.0
-    } else {
-        1.0
     }
 }

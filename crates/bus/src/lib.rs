@@ -23,12 +23,14 @@
 //! * [`cost`] — [`BusCostModel`], the per-`(n, q, kind)` cost metadata
 //!   the heterogeneous fleet router quotes before placing a
 //!   micro-batch.
-//! * [`window`] — [`CapabilityWindow`] and the shared shape validation;
-//!   window violations are typed [`EngineError::Unsupported`] values,
-//!   never panics.
+//! * [`window`] — [`BackendKind`], plus re-exports of the one
+//!   [`CapabilityWindow`] type and the one shape validator
+//!   ([`validate_shape`]) from [`ntt_pim::engine::window`]; shape
+//!   violations are typed [`EngineError::Shape`] values, window
+//!   violations [`EngineError::Unsupported`] ones, never panics.
 //! * [`spec`] — [`BackendSpec`], the parseable description
 //!   (`"pim:2,cpu-lanes:1,bp-ntt:1"`) the service and CLI build fleets
-//!   from.
+//!   from, bounded at [`MAX_FLEET_SLOTS`] slots.
 //!
 //! Every backend computes bit-identical results for any admitted job —
 //! the published models and the CPU lanes run the same golden kernels;
@@ -48,7 +50,7 @@ pub mod window;
 pub use backend::{BackendOutcome, CpuLanesBackend, NttBackend, PimBackend, PublishedBackend};
 pub use cost::{BusCostModel, CpuLaneCostModel, PublishedCostModel};
 pub use registry::{AddrRange, BackendBus, BackendHandle, BACKEND_APERTURE};
-pub use spec::{BackendSpec, PublishedKind};
+pub use spec::{BackendSpec, PublishedKind, SpecError, MAX_FLEET_SLOTS};
 pub use window::{validate_shape, BackendKind, CapabilityWindow};
 
 // Re-exported so bus consumers (service, bench, CLI) name job and error

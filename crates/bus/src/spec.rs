@@ -14,7 +14,40 @@ use ntt_pim::core::PimError;
 use ntt_pim::engine::batch::{DeviceCostModel, SchedulePolicy};
 use ntt_pim::reference::cache::PlanCache;
 use pim_baselines::{BpNttModel, MenttModel, NttAccelerator};
+use std::fmt;
 use std::sync::Arc;
+
+/// Largest fleet any description may name. Every slot gets a worker
+/// thread and a backend, so the bound is checked before anything is
+/// allocated; the largest fleet any bench or test builds is 16.
+pub const MAX_FLEET_SLOTS: usize = 1024;
+
+/// Why a fleet description was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// An empty entry, an unknown backend name, or a bad count.
+    Malformed(String),
+    /// The entries name more than [`MAX_FLEET_SLOTS`] slots in total
+    /// (`requested` saturates at `usize::MAX`).
+    TooManySlots {
+        /// Total slots the description asked for.
+        requested: usize,
+    },
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::Malformed(reason) => f.write_str(reason),
+            SpecError::TooManySlots { requested } => write!(
+                f,
+                "fleet of {requested} slots exceeds the limit of {MAX_FLEET_SLOTS}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// Which published comparator a `published` slot models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,33 +118,39 @@ impl BackendSpec {
     ///
     /// # Errors
     ///
-    /// A description of the first malformed entry.
-    pub fn parse_list(s: &str) -> Result<Vec<Self>, String> {
-        let mut specs = Vec::new();
+    /// [`SpecError::Malformed`] naming the first malformed entry, or
+    /// [`SpecError::TooManySlots`] when the counts add up to more than
+    /// [`MAX_FLEET_SLOTS`] (checked before any slot is allocated).
+    pub fn parse_list(s: &str) -> Result<Vec<Self>, SpecError> {
+        let mut entries = Vec::new();
+        let mut total = 0usize;
         for entry in s.split(',') {
             let entry = entry.trim();
             if entry.is_empty() {
-                return Err("empty backend entry".into());
+                return Err(SpecError::Malformed("empty backend entry".into()));
             }
             let (name, count) = match entry.split_once(':') {
                 Some((name, count)) => (
                     name,
                     count
                         .parse::<usize>()
-                        .map_err(|_| format!("bad count in `{entry}`"))?,
+                        .map_err(|_| SpecError::Malformed(format!("bad count in `{entry}`")))?,
                 ),
                 None => (entry, 1),
             };
             if count == 0 {
-                return Err(format!("zero count in `{entry}`"));
+                return Err(SpecError::Malformed(format!("zero count in `{entry}`")));
             }
-            let spec = Self::parse(name)?;
-            specs.extend(std::iter::repeat_n(spec, count));
+            entries.push((Self::parse(name).map_err(SpecError::Malformed)?, count));
+            total = total.saturating_add(count);
         }
-        if specs.is_empty() {
-            return Err("empty backend list".into());
+        if total > MAX_FLEET_SLOTS {
+            return Err(SpecError::TooManySlots { requested: total });
         }
-        Ok(specs)
+        Ok(entries
+            .into_iter()
+            .flat_map(|(spec, count)| std::iter::repeat_n(spec, count))
+            .collect())
     }
 
     /// The slot's routing label.
@@ -167,5 +206,54 @@ impl BackendSpec {
                 BusCostModel::Published(PublishedCostModel::new(k.label(), k.model()))
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fleet_descriptions_are_bounded_before_allocation() {
+        assert_eq!(
+            BackendSpec::parse_list("pim:18446744073709551615"),
+            Err(SpecError::TooManySlots {
+                requested: usize::MAX
+            })
+        );
+        assert_eq!(
+            BackendSpec::parse_list("cpu-lanes:3000000"),
+            Err(SpecError::TooManySlots {
+                requested: 3_000_000
+            })
+        );
+        // The total counts, and it saturates instead of wrapping.
+        assert_eq!(
+            BackendSpec::parse_list("pim:1000,cpu-lanes:25"),
+            Err(SpecError::TooManySlots { requested: 1025 })
+        );
+        assert_eq!(
+            BackendSpec::parse_list("pim:18446744073709551615,mentt:2"),
+            Err(SpecError::TooManySlots {
+                requested: usize::MAX
+            })
+        );
+        let at_limit = BackendSpec::parse_list(&format!("cpu-lanes:{MAX_FLEET_SLOTS}")).unwrap();
+        assert_eq!(at_limit.len(), MAX_FLEET_SLOTS);
+        let err = BackendSpec::parse_list("pim:2000").unwrap_err();
+        assert!(err.to_string().contains("1024"), "{err}");
+    }
+
+    #[test]
+    fn malformed_fleet_descriptions_are_typed() {
+        for bad in ["", "pim,", "frob", "pim:0", "pim:x", "pim:-1"] {
+            assert!(
+                matches!(BackendSpec::parse_list(bad), Err(SpecError::Malformed(_))),
+                "{bad:?}"
+            );
+        }
+        let fleet = BackendSpec::parse_list("pim:2, cpu-lanes ,bp-ntt:1").unwrap();
+        let labels: Vec<&str> = fleet.iter().map(BackendSpec::label).collect();
+        assert_eq!(labels, ["pim", "pim", "cpu-lanes", "bp-ntt"]);
     }
 }

@@ -1,8 +1,9 @@
-//! Backend kinds, capability windows, and the shared shape validation.
+//! Backend kinds, plus the capability window and shape validator every
+//! backend admits by. Those two live in [`ntt_pim::engine::window`], one
+//! copy shared with the batch executor and the golden CPU engine, and
+//! are re-exported here under the bus's paths.
 
-use ntt_pim::engine::batch::{JobKind, NttJob};
-use ntt_pim::engine::EngineError;
-use ntt_pim::math::prime;
+pub use ntt_pim::engine::window::{validate_shape, CapabilityWindow};
 use std::fmt;
 
 /// Which family a backend belongs to. Kinds are coarse — routing and
@@ -43,123 +44,4 @@ impl std::str::FromStr for BackendKind {
             )),
         }
     }
-}
-
-/// What a backend honestly supports: the bus-level generalization of
-/// [`ntt_pim::engine::EngineCaps`], carried per registered backend so
-/// routers and admission control can reject a job *before* it reaches
-/// the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapabilityWindow {
-    /// Whether the modulus can vary per job.
-    pub arbitrary_modulus: bool,
-    /// For fixed-modulus hardware, the one modulus its published
-    /// numbers are valid for (`None` when `arbitrary_modulus`).
-    pub native_modulus: Option<u64>,
-    /// Coefficient datapath width in bits.
-    pub bitwidth: u32,
-    /// Largest supported transform length (`None` = unbounded).
-    pub max_n: Option<usize>,
-    /// Independent execution lanes one batch can fan across (total
-    /// banks for PIM, SIMD lane width for the CPU, 1 for serial
-    /// published models).
-    pub lanes: usize,
-}
-
-impl CapabilityWindow {
-    /// Checks `job` against this window. Violations are typed
-    /// [`EngineError::Unsupported`] errors naming `backend` — never a
-    /// panic — so a router can fall through to the next candidate.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Unsupported`] naming the failed capability.
-    pub fn admits(&self, backend: &str, job: &NttJob) -> Result<(), EngineError> {
-        let n = job.n();
-        let q = job.q;
-        let unsupported = |reason: String| EngineError::Unsupported {
-            engine: backend.to_string(),
-            n,
-            q,
-            reason,
-        };
-        if let Some(max) = self.max_n {
-            if n > max {
-                return Err(unsupported(format!("length {n} exceeds max N {max}")));
-            }
-        }
-        if self.bitwidth < 64 && q >= (1u64 << self.bitwidth) {
-            return Err(unsupported(format!(
-                "q={q} exceeds the {}-bit datapath",
-                self.bitwidth
-            )));
-        }
-        if let Some(native) = self.native_modulus {
-            if q != native {
-                return Err(unsupported(format!(
-                    "fixed-modulus device (native q={native})"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Display for CapabilityWindow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}-bit, modulus {}, max N {}, {} lanes",
-            self.bitwidth,
-            match self.native_modulus {
-                Some(q) => q.to_string(),
-                None => "arbitrary".into(),
-            },
-            match self.max_n {
-                Some(n) => n.to_string(),
-                None => "unbounded".into(),
-            },
-            self.lanes
-        )
-    }
-}
-
-/// Backend-independent shape validation: power-of-two length, prime
-/// modulus with a `2N`-th root of unity, reduced coefficients, matching
-/// operand lengths. Every backend's admission runs this first; what
-/// remains after it is genuinely *capability* (window) checking.
-///
-/// # Errors
-///
-/// [`EngineError::Shape`] describing the violation.
-pub fn validate_shape(job: &NttJob) -> Result<(), EngineError> {
-    let shape = |reason: String| EngineError::Shape { reason };
-    let n = job.n();
-    if !n.is_power_of_two() || n < 4 {
-        return Err(shape(format!("length {n} is not a power of two >= 4")));
-    }
-    if !prime::is_prime(job.q) {
-        return Err(shape(format!("q={} is not prime", job.q)));
-    }
-    if (job.q - 1) % (2 * n as u64) != 0 {
-        return Err(shape(format!(
-            "q={} has no 2N-th root of unity (2N does not divide q-1)",
-            job.q
-        )));
-    }
-    if job.coeffs.iter().any(|&c| c >= job.q) {
-        return Err(shape("coefficients not reduced modulo q".into()));
-    }
-    if let JobKind::NegacyclicPolymul { rhs } = &job.kind {
-        if rhs.len() != n {
-            return Err(shape(format!(
-                "operand lengths differ ({n} vs {})",
-                rhs.len()
-            )));
-        }
-        if rhs.iter().any(|&c| c >= job.q) {
-            return Err(shape("rhs coefficients not reduced modulo q".into()));
-        }
-    }
-    Ok(())
 }

@@ -3,10 +3,18 @@
 //! bit-identical to the golden CPU model, and every rejection is a
 //! typed capability-window error, never a panic. Runs identically on
 //! both feature halves (default and `simd`).
+//!
+//! The golden comparisons run on the Shoup/Harvey **lazy-reduction**
+//! kernel: every grid modulus is inside the lazy bound (`q < 2⁶²`), so
+//! parity across the PIM device, the CPU lanes, the published models and
+//! the reference dataflows proves the lazy kernel against all of them.
 
 use ntt_bus::{BackendBus, BackendSpec, EngineError, NttJob};
-use ntt_pim::engine::batch::{JobKind, SchedulePolicy};
-use ntt_pim::engine::{CpuNttEngine, NttEngine};
+use ntt_pim::core::config::PimConfig;
+use ntt_pim::engine::batch::{run_lane_batched, BatchExecutor, JobKind, SchedulePolicy};
+use ntt_pim::engine::{cpu_kernel_label, CpuNttEngine, NttEngine};
+use ntt_pim::math::prime;
+use ntt_pim::reference::{four_step, pease, stockham};
 use proptest::prelude::*;
 
 fn poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -223,4 +231,208 @@ fn aperture_dispatch_reaches_the_named_backend() {
         bus.dispatch(past, std::slice::from_ref(&job)),
         Err(EngineError::Shape { .. })
     ));
+}
+
+/// The deterministic grid: N ∈ {256, 1024, 4096} against the Kyber-ish,
+/// NewHope and Dilithium moduli. Points without a 2N-th root of unity
+/// (e.g. N=1024 with q=7681) are skipped by the shape validator, never
+/// by hand-maintained lists.
+const GRID_LENGTHS: [usize; 3] = [256, 1024, 4096];
+const GRID_MODULI: [u64; 3] = [7681, 12289, 8_380_417];
+
+fn grid_points() -> Vec<(usize, u64)> {
+    GRID_LENGTHS
+        .iter()
+        .flat_map(|&n| GRID_MODULI.iter().map(move |&q| (n, q)))
+        .filter(|&(n, q)| ntt_bus::validate_shape(&NttJob::forward(vec![0; n], q)).is_ok())
+        .collect()
+}
+
+#[test]
+fn golden_grid_runs_the_lazy_kernel() {
+    // Guard for the parity suite's premise: every modulus in the grid is
+    // served by the Shoup-lazy datapath, so the golden comparisons
+    // exercise the lazy kernel, not the widening fallback.
+    for &q in GRID_MODULI.iter().chain(&MODULI) {
+        assert_eq!(cpu_kernel_label(q), "shoup-lazy", "q={q}");
+    }
+}
+
+#[test]
+fn every_backend_matches_the_golden_transform() {
+    let mut bus = full_bus();
+    let mut covered = 0usize;
+    for (n, q) in grid_points() {
+        let job = NttJob::forward(poly(n, q, n as u64 ^ q), q);
+        let expect = golden(&job);
+        for handle in bus.handles() {
+            if bus.admit(handle, &job).is_err() {
+                continue;
+            }
+            let out = bus.submit(handle, std::slice::from_ref(&job)).unwrap();
+            assert_eq!(
+                out.spectra[0],
+                expect,
+                "{} disagrees with golden at N={n}, q={q}",
+                bus.label(handle)
+            );
+            covered += 1;
+        }
+    }
+    // PIM and the CPU lanes cover all six valid points, each published
+    // model the two NewHope points inside its max N.
+    assert!(covered >= 15, "only {covered} grid points ran");
+}
+
+#[test]
+fn pim_device_matches_every_golden_engine_where_supported() {
+    // Stated from the device's side: PIM output == the golden engine ==
+    // each ntt-ref reference dataflow, on every grid point.
+    let mut bus = full_bus();
+    let pim = bus.by_name("pim").unwrap();
+    let mut checked = 0usize;
+    for (n, q) in grid_points() {
+        let job = NttJob::forward(poly(n, q, 0xA5A5 ^ n as u64 ^ q), q);
+        let device_out = bus.submit(pim, std::slice::from_ref(&job)).unwrap();
+        assert_eq!(device_out.spectra[0], golden(&job), "golden at N={n} q={q}");
+        let plan = CpuNttEngine::golden()
+            .plan_cache()
+            .get_or_build(n, q)
+            .unwrap();
+        let split = four_step::plan_split(n, 1).unwrap();
+        let mut stockham_out = job.coeffs.clone();
+        stockham::forward(&plan, &mut stockham_out);
+        let mut pease_out = job.coeffs.clone();
+        pease::forward(&plan, &mut pease_out);
+        let mut four_step_out = job.coeffs.clone();
+        four_step::forward(&plan, &mut four_step_out, split.rows);
+        for (name, out) in [
+            ("stockham", stockham_out),
+            ("pease", pease_out),
+            ("four-step", four_step_out),
+        ] {
+            assert_eq!(
+                device_out.spectra[0], out,
+                "{name} vs device at N={n} q={q}"
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked >= 5, "device covered only {checked} grid points");
+}
+
+#[test]
+fn inverse_roundtrips_through_every_backend() {
+    let mut bus = full_bus();
+    let (n, q) = (256usize, 12289u64);
+    let input = poly(n, q, 77);
+    for handle in bus.handles() {
+        let label = bus.label(handle).to_string();
+        let forward = NttJob::forward(input.clone(), q);
+        assert!(
+            bus.admit(handle, &forward).is_ok(),
+            "{label} covers 256/12289"
+        );
+        let spectrum = bus.submit(handle, &[forward]).unwrap().spectra.remove(0);
+        let back = bus.submit(handle, &[NttJob::inverse(spectrum, q)]).unwrap();
+        assert_eq!(back.spectra[0], input, "{label} roundtrip");
+    }
+}
+
+/// One validator, one verdict: every malformed shape is
+/// `EngineError::Shape` on every path that accepts a transform, and
+/// every well-formed job outside a backend's window is
+/// `EngineError::Unsupported` there.
+#[test]
+fn malformed_shapes_get_one_verdict_on_every_path() {
+    let q = 12289u64;
+    let ok = poly(256, q, 5);
+    let mut unreduced = ok.clone();
+    unreduced[17] = q;
+    let cases = [
+        ("non-power-of-two n", NttJob::forward(vec![1; 100], q)),
+        ("n < 4", NttJob::forward(vec![1; 2], q)),
+        ("composite q", NttJob::forward(vec![1; 256], 12287)),
+        ("no 2N-th root", NttJob::forward(vec![1; 1024], 7681)),
+        (
+            "unreduced coefficient",
+            NttJob::forward(unreduced.clone(), q),
+        ),
+        (
+            "rhs length mismatch",
+            NttJob::negacyclic_polymul(ok.clone(), poly(128, q, 6), q),
+        ),
+        (
+            "unreduced rhs",
+            NttJob::negacyclic_polymul(ok.clone(), unreduced, q),
+        ),
+    ];
+    let is_shape = |r: Result<(), EngineError>| matches!(r, Err(EngineError::Shape { .. }));
+    let bus = full_bus();
+    let mut exec = BatchExecutor::new(PimConfig::hbm2e(2)).unwrap();
+    let mut cpu = CpuNttEngine::golden();
+    for (case, job) in &cases {
+        let mut data = job.coeffs.clone();
+        let rhs = match &job.kind {
+            JobKind::NegacyclicPolymul { rhs } => rhs.clone(),
+            _ => vec![0; job.n()],
+        };
+        if !matches!(job.kind, JobKind::NegacyclicPolymul { .. }) {
+            assert!(
+                is_shape(cpu.forward(&mut data, job.q).map(drop)),
+                "{case}: forward"
+            );
+        }
+        let product = cpu.negacyclic_polymul(&mut data, &rhs, job.q);
+        assert!(is_shape(product.map(drop)), "{case}: polymul");
+        let lanes = run_lane_batched(&mut cpu, std::slice::from_ref(job));
+        assert!(is_shape(lanes.map(drop)), "{case}: run_lane_batched");
+        let batch = exec.run(std::slice::from_ref(job));
+        assert!(is_shape(batch.map(drop)), "{case}: BatchExecutor::run");
+        for handle in bus.handles() {
+            let label = bus.label(handle);
+            assert!(is_shape(bus.admit(handle, job)), "{case}: admit on {label}");
+        }
+    }
+
+    // The window cases: well-formed, but outside one backend's window.
+    let unsupported =
+        |r: Result<(), EngineError>| matches!(r, Err(EngineError::Unsupported { .. }));
+    let (pim, cpu_lanes) = (
+        bus.by_name("pim").unwrap(),
+        bus.by_name("cpu-lanes").unwrap(),
+    );
+    let (mentt, bp) = (
+        bus.by_name("mentt").unwrap(),
+        bus.by_name("bp-ntt").unwrap(),
+    );
+    let q33 = prime::find_ntt_prime(512, 35).unwrap();
+    assert!(q33 > u64::from(u32::MAX));
+    let wide = NttJob::forward(poly(256, q33, 9), q33);
+    assert!(unsupported(bus.admit(pim, &wide)), "q >= 2^32 on pim");
+    assert!(bus.admit(cpu_lanes, &wide).is_ok());
+    let q63 = prime::find_ntt_prime(512, 63).unwrap();
+    assert!(q63 >= 1 << 62);
+    let widest = NttJob::forward(poly(256, q63, 9), q63);
+    assert!(
+        unsupported(bus.admit(cpu_lanes, &widest)),
+        "q >= 2^62 on cpu-lanes"
+    );
+    let mut data = widest.coeffs.clone();
+    assert!(
+        unsupported(cpu.forward(&mut data, q63).map(drop)),
+        "golden engine"
+    );
+    // Dilithium's 23-bit modulus at N=4096 is outside both
+    // fixed-modulus published models but inside the device and CPU.
+    let dilithium = NttJob::forward(poly(4096, 8_380_417, 7), 8_380_417);
+    assert!(bus.admit(pim, &dilithium).is_ok());
+    assert!(bus.admit(cpu_lanes, &dilithium).is_ok());
+    for handle in [mentt, bp] {
+        assert!(
+            unsupported(bus.admit(handle, &dilithium)),
+            "non-native q on {}",
+            bus.label(handle)
+        );
+    }
 }

@@ -61,11 +61,12 @@ SERVE OPTIONS:
     --tenant-inflight <k>  per-tenant in-flight cap (0 = off) [default: 0]
     --lengths <...>     request lengths, cycled               [default: 256,1024,2048,4096]
     --devices <n>       simulated fleet size (replicas of the
-                        serve topology, routed by predicted drain) [default: 1]
+                        serve topology, routed by predicted drain,
+                        at most 1024)                          [default: 1]
     --backends <list>   mixed backend fleet, name or name:count entries
                         from pim, cpu-lanes, mentt, bp-ntt (for example
-                        pim:2,cpu-lanes:1); overrides --devices, routed
-                        cost-aware per micro-batch shape
+                        pim:2,cpu-lanes:1; at most 1024 slots); overrides
+                        --devices, routed cost-aware per micro-batch shape
     --steal-threshold-us <t>  fleet imbalance tolerance before
                         batches split / workers steal, µs     [default: 0]
     --smoke             small verified run (CI): golden-check every response
@@ -570,15 +571,18 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         .with_refresh(args.has_flag("refresh"));
     pim.validate()?;
     let devices: usize = args.get_or("devices", 1)?;
-    if devices == 0 {
-        return Err(CliError::usage("--devices must be >= 1"));
+    if devices == 0 || devices > ntt_bus::MAX_FLEET_SLOTS {
+        return Err(CliError::usage(format!(
+            "--devices must be between 1 and {}",
+            ntt_bus::MAX_FLEET_SLOTS
+        )));
     }
     let steal_threshold_us: u64 = args.get_or("steal-threshold-us", 0)?;
     // --backends: a mixed fleet (overrides --devices); PIM slots take
     // the serve topology.
     let backend_specs: Vec<ntt_service::BackendSpec> = match args.options.get("backends") {
         Some(list) => ntt_service::BackendSpec::parse_list(list)
-            .map_err(CliError::usage)?
+            .map_err(|e| CliError::usage(e.to_string()))?
             .into_iter()
             .map(|spec| match spec {
                 ntt_service::BackendSpec::Pim(_) => ntt_service::BackendSpec::Pim(pim),
@@ -929,6 +933,11 @@ mod tests {
         assert!(run_line("serve --tenants 2 --requests 0").is_err());
         assert!(run_line("serve --smoke --lengths 100 --requests 2 --tenants 1").is_err());
         assert!(run_line("serve --devices 0 --requests 4").is_err());
+        // Fleet sizes past the bus's slot limit are rejected before any
+        // device or worker thread is built.
+        let err = run_line("serve --devices 100000 --requests 4").unwrap_err();
+        assert!(err.to_string().contains("1024"), "{err}");
+        assert!(run_line("serve --backends cpu-lanes:3000000 --requests 4").is_err());
     }
 
     #[test]

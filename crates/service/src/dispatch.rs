@@ -691,11 +691,15 @@ mod tests {
     #[test]
     fn idle_worker_steals_from_a_wedged_peer() {
         let topo = Topology::new(1, 1, 4);
-        let configs = vec![
+        let configs = [
             PimConfig::hbm2e(2).with_topology(topo),
             PimConfig::hbm2e(2).with_topology(topo),
         ];
-        let mut router = FleetRouter::new(&configs, 0.0).unwrap();
+        let models = configs
+            .iter()
+            .map(|&c| ntt_bus::BackendSpec::Pim(c).cost_model().unwrap())
+            .collect();
+        let mut router = FleetRouter::with_backends(models, 0.0);
         let jobs = vec![NttJob::new(poly(256, 7), Q)];
         // Place the batch explicitly on device 0 (mimic the router having
         // chosen it just before the device wedged).

@@ -60,9 +60,7 @@
 //! steering new traffic — and work stealing — around it.
 
 use ntt_bus::{BackendKind, BusCostModel, CapabilityWindow, EngineError, NttJob};
-use ntt_pim::core::config::{PimConfig, Topology};
-use ntt_pim::core::PimError;
-use ntt_pim::engine::batch::DeviceCostModel;
+use ntt_pim::core::config::Topology;
 
 /// One group of jobs placed on one backend by [`FleetRouter::route`].
 #[derive(Debug, Clone, PartialEq)]
@@ -132,22 +130,6 @@ pub struct FleetRouter {
 }
 
 impl FleetRouter {
-    /// Builds a homogeneous-PIM router, one cost model per device
-    /// configuration (the historical constructor; mixed fleets use
-    /// [`Self::with_backends`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation errors (naming no device;
-    /// the caller knows which configs it passed).
-    pub fn new(configs: &[PimConfig], steal_threshold_ns: f64) -> Result<Self, PimError> {
-        let models = configs
-            .iter()
-            .map(|c| Ok(BusCostModel::Pim(DeviceCostModel::new(*c)?)))
-            .collect::<Result<Vec<_>, PimError>>()?;
-        Ok(Self::with_backends(models, steal_threshold_ns))
-    }
-
     /// Builds a router over an arbitrary mixed fleet, one
     /// [`BusCostModel`] per backend slot.
     pub fn with_backends(models: Vec<BusCostModel>, steal_threshold_ns: f64) -> Self {

@@ -19,8 +19,8 @@
 //!   merged device report.
 //! * **Dynamic micro-batching.** A dispatcher thread collects queued
 //!   requests and flushes when the batch reaches
-//!   `max_batch` (defaulting to the device's
-//!   [`parallel_lanes`](ntt_pim::engine::EngineCaps::parallel_lanes))
+//!   `max_batch` (defaulting to the fleet's total
+//!   [`lanes`](ntt_bus::CapabilityWindow::lanes))
 //!   *or* when the oldest queued request has waited `max_wait` —
 //!   whichever comes first. Full batches ride the cost-model LPT
 //!   scheduler across the whole `channels × ranks × banks` topology.
@@ -34,12 +34,14 @@
 //!   [`NttService::plan_cache`]) reads twiddle/Shoup tables through one
 //!   thread-safe [`PlanCache`], so tables are built once per `(n, q)`
 //!   process-wide; hit/miss counters surface in [`ServiceStats`].
-//! * **Fleet tier.** The service drives N co-simulated backends —
-//!   homogeneous PIM replicas ([`ServiceConfig::with_devices`]) or a
-//!   mixed fleet of PIM, CPU-lane, and published-model slots
-//!   ([`ServiceConfig::with_backends`]): a router thread places each
-//!   micro-batch on the backend predicted to drain it cheapest —
-//!   per-slot queued backlog plus the batch's makespan under that
+//! * **Fleet tier.** The service drives N co-simulated backends — PIM
+//!   devices, CPU-lane slots, and published models alike — one per
+//!   [`BackendSpec`] slot ([`ServiceConfig::with_backends`];
+//!   [`ServiceConfig::with_devices`] and
+//!   [`ServiceConfig::with_device_count`] are shorthands for PIM
+//!   slots): a router thread places each micro-batch on the backend
+//!   predicted to drain it cheapest — per-slot queued backlog plus the
+//!   batch's makespan under that
 //!   slot's own cost model ([`FleetRouter`]) — re-splitting batches
 //!   across slots when one would back up past the configurable
 //!   imbalance threshold; per-slot worker threads execute their
@@ -192,17 +194,12 @@ pub struct ServiceConfig {
     /// The plan cache golden verification reads through. `None` (the
     /// default) uses [`PlanCache::global`].
     pub plan_cache: Option<Arc<PlanCache>>,
-    /// The fleet's device configurations. Empty (the default) means a
-    /// single device built from `pim`; set via [`Self::with_devices`]
-    /// (heterogeneous topologies allowed) or
-    /// [`Self::with_device_count`] (N replicas of `pim`). Ignored when
-    /// `backends` is non-empty.
-    pub devices: Vec<PimConfig>,
-    /// The fleet's backend slots for a *mixed* fleet (PIM, CPU lanes,
-    /// published models). Empty (the default) means every slot is a PIM
-    /// device from `devices`/`pim`; set via [`Self::with_backends`]
+    /// The fleet's backend slots (PIM devices, CPU lanes, published
+    /// models). Empty (the default) means a single PIM device built
+    /// from `pim`; set via [`Self::with_backends`]
     /// ([`BackendSpec::parse_list`] accepts the CLI's
-    /// `pim:2,cpu-lanes:1,bp-ntt:1` syntax).
+    /// `pim:2,cpu-lanes:1,bp-ntt:1` syntax), [`Self::with_devices`], or
+    /// [`Self::with_device_count`].
     pub backends: Vec<BackendSpec>,
     /// Whether a retired backend may rejoin the router after passing a
     /// probe job (on by default). Off makes retirement permanent, the
@@ -238,7 +235,6 @@ impl ServiceConfig {
             tenant_inflight: 0,
             verify_golden: false,
             plan_cache: None,
-            devices: Vec::new(),
             backends: Vec::new(),
             readmission: true,
             steal_threshold: Duration::ZERO,
@@ -247,8 +243,7 @@ impl ServiceConfig {
         }
     }
 
-    /// Sets an explicit mixed-backend fleet (takes precedence over
-    /// [`Self::with_devices`] when non-empty).
+    /// Sets the fleet's backend slots, replacing any set before.
     #[must_use]
     pub fn with_backends(mut self, backends: Vec<BackendSpec>) -> Self {
         self.backends = backends;
@@ -269,20 +264,21 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets an explicit fleet of device configurations (heterogeneous
+    /// Shorthand for [`Self::with_backends`] with one
+    /// [`BackendSpec::Pim`] slot per configuration (heterogeneous
     /// topologies allowed). An empty vector falls back to one device
     /// built from `pim`.
     #[must_use]
-    pub fn with_devices(mut self, devices: Vec<PimConfig>) -> Self {
-        self.devices = devices;
-        self
+    pub fn with_devices(self, devices: Vec<PimConfig>) -> Self {
+        self.with_backends(devices.into_iter().map(BackendSpec::Pim).collect())
     }
 
-    /// Sets a homogeneous fleet of `count` replicas of `pim`.
+    /// Shorthand for [`Self::with_backends`] with `count` (at least one)
+    /// [`BackendSpec::Pim`] replicas of `pim`.
     #[must_use]
-    pub fn with_device_count(mut self, count: usize) -> Self {
-        self.devices = vec![self.pim; count.max(1)];
-        self
+    pub fn with_device_count(self, count: usize) -> Self {
+        let slot = BackendSpec::Pim(self.pim);
+        self.with_backends(vec![slot; count.max(1)])
     }
 
     /// Sets the imbalance threshold for re-splitting and stealing.
@@ -566,17 +562,10 @@ impl NttService {
     ///
     /// Propagates device configuration errors.
     pub fn start(config: ServiceConfig) -> Result<Self, EngineError> {
-        let specs: Vec<BackendSpec> = if !config.backends.is_empty() {
-            config.backends.clone()
-        } else if config.devices.is_empty() {
+        let specs: Vec<BackendSpec> = if config.backends.is_empty() {
             vec![BackendSpec::Pim(config.pim)]
         } else {
-            config
-                .devices
-                .iter()
-                .copied()
-                .map(BackendSpec::Pim)
-                .collect()
+            config.backends
         };
         let cache = config.plan_cache.unwrap_or_else(PlanCache::global);
         let mut backends: Vec<Box<dyn NttBackend>> = Vec::with_capacity(specs.len());

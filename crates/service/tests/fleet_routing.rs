@@ -41,6 +41,15 @@ fn device(topo: (u32, u32, u32)) -> PimConfig {
     PimConfig::hbm2e(2).with_topology(Topology::new(topo.0, topo.1, topo.2))
 }
 
+/// One PIM cost model per device configuration, as the service builds
+/// them from `BackendSpec::Pim` slots.
+fn pim_models(configs: &[PimConfig]) -> Vec<ntt_bus::BusCostModel> {
+    configs
+        .iter()
+        .map(|&c| BackendSpec::Pim(c).cost_model().unwrap())
+        .collect()
+}
+
 /// A valid job of one of the three ordinary kinds.
 fn valid_job(n: usize, kind: u64, qsel: u64, seed: u64) -> NttJob {
     let q = MODULI[qsel as usize % MODULI.len()];
@@ -95,8 +104,7 @@ proptest! {
     ) {
         let configs: Vec<PimConfig> =
             topo_sel.iter().map(|&t| device(TOPOLOGIES[t])).collect();
-        let mut router = FleetRouter::new(&configs, threshold)
-            .unwrap()
+        let mut router = FleetRouter::with_backends(pim_models(&configs), threshold)
             .with_decision_log();
         let retire_at = batches.len() / 2;
         let mut retired: Option<usize> = None;
@@ -512,7 +520,7 @@ fn skewed_fleet_router_never_writes_off_the_small_device() {
         device((4, 2, 2)),
         device((1, 1, 2)),
     ];
-    let mut router = FleetRouter::new(&configs, 0.0).unwrap();
+    let mut router = FleetRouter::with_backends(pim_models(&configs), 0.0);
     let jobs: Vec<NttJob> = (0..96)
         .map(|i| NttJob::new(poly(256, Q, 200 + i), Q))
         .collect();

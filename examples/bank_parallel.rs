@@ -9,8 +9,7 @@
 //! ```
 
 use ntt_pim::core::config::PimConfig;
-use ntt_pim::engine::batch::{BatchExecutor, NttJob};
-use ntt_pim::engine::{NttEngine, PimDeviceEngine};
+use ntt_pim::engine::batch::{BatchExecutor, DeviceCostModel, NttJob};
 use ntt_pim::fhe::executor::ntt_all_components;
 use ntt_pim::fhe::params::RlweParams;
 use ntt_pim::fhe::rns::RnsPoly;
@@ -45,17 +44,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("system-level investigation the paper leaves as future work.");
 
     // --- BatchExecutor: 16 independent NTTs over 16 banks ----------------
-    // The unified engine layer's executor packs jobs onto per-bank queues
+    // The batch executor packs jobs onto per-bank queues
     // (cost-model LPT by default) and drains them concurrently over the
     // shared command bus. Aggregate latency for a 16-job batch must land
     // well under 2x a single NTT — the bank-level scaling the paper's
     // conclusion projects.
     let n = 1024usize;
     let q = 12289u64;
-    let single_ns = PimDeviceEngine::hbm2e(2)?
-        .cost_estimate(n)
-        .expect("cost model covers N=1024")
-        .latency_ns;
+    let single_ns = DeviceCostModel::new(PimConfig::hbm2e(2))?.transform_cost(n);
     let jobs: Vec<NttJob> = (0..16u64)
         .map(|j| {
             NttJob::new(

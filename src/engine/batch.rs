@@ -12,8 +12,8 @@
 //!
 //! * [`SchedulePolicy::Lpt`] (default) — longest-processing-time
 //!   bin-packing: every job's latency is predicted from the device cost
-//!   model ([`crate::engine::pim_cost_estimate`], memoized per transform
-//!   length so a thousand-job batch maps each distinct length once), jobs
+//!   model ([`DeviceCostModel`], memoized per transform length so a
+//!   thousand-job batch maps each distinct length once), jobs
 //!   are dealt to the least-loaded bank biggest-first, and the queues
 //!   drain *asynchronously* — each bank starts its next job the moment
 //!   the previous one finishes ([`crate::core::sched::schedule_queues`]).
@@ -40,12 +40,13 @@
 //! window, so adding channels or ranks buys real concurrency, not just
 //! more queue slots.
 
-use super::{CpuNttEngine, EngineError, EngineReport, NttEngine, ReportSource};
+use super::window::{validate_shape, CapabilityWindow};
+use super::{CpuNttEngine, EngineError, EngineReport, NttEngine};
 use crate::core::config::{PimConfig, Topology};
 use crate::core::device::{NttDirection, PimDevice, QueueReport, StoredOrder};
 use crate::core::layout::PolyLayout;
-use crate::core::mapper::{MapperOptions, Program};
-use crate::core::sched::{lpt_assign_topology, lpt_makespan, DagJob};
+use crate::core::mapper::{self, Dataflow, MapperOptions, NttParams, Program};
+use crate::core::sched::{self, lpt_assign_topology, lpt_makespan, DagJob};
 use crate::core::PimError;
 use crate::math::arith::pow_mod;
 use crate::math::prime;
@@ -175,6 +176,10 @@ impl std::str::FromStr for SchedulePolicy {
     }
 }
 
+/// Reference modulus of the value-free PIM cost model (`15·2²⁷ + 1`
+/// has a root of unity for every practical transform length).
+const COST_MODEL_Q: u64 = 2_013_265_921;
+
 /// The row stage of a split large transform adds the fused
 /// twiddle-scaling pass on top of the transform: one element-wise sweep,
 /// priced as a flat surcharge on the row transform's cost.
@@ -232,38 +237,37 @@ impl DeviceCostModel {
         self.config.total_banks()
     }
 
-    /// Predicted single-transform latency at length `n`, ns, memoized.
+    /// Predicted single-transform latency at length `n`, ns, memoized:
+    /// one forward program mapped and scheduled on the modeled
+    /// configuration — no device (and no bank storage) needed. Timing
+    /// does not depend on coefficient values or the modulus, so one
+    /// reference modulus serves every request.
     pub fn transform_cost(&mut self, n: usize) -> f64 {
-        match self.memo.entry(n) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(v) => *v.insert(
-                super::pim_cost_estimate(&self.config, &self.opts, n)
-                    .map(|c| c.latency_ns)
-                    // N log N fallback keeps packing sensible even where
-                    // the model has no point.
-                    .unwrap_or_else(|| (n as f64) * f64::from(n.trailing_zeros() + 1)),
-            ),
-        }
+        let (config, opts) = (&self.config, &self.opts);
+        *self.memo.entry(n).or_insert_with(|| {
+            scheduled_forward_ns(config, opts, n)
+                // N log N fallback keeps packing sensible even where
+                // the model has no point.
+                .unwrap_or_else(|| (n as f64) * f64::from(n.trailing_zeros() + 1))
+        })
     }
 
-    /// Predicted serial latency of one job, ns. A negacyclic product
-    /// runs three transforms plus element-wise passes; 3× one transform
-    /// is accurate enough for bin-packing, which only needs relative
-    /// weights. A split large transform reports the serial sum of its
-    /// sub-jobs (callers asking "how heavy is this job"; the packer
-    /// costs its units individually via [`Self::unit_costs`]).
+    /// Predicted serial latency of one job, ns: [`LaneOp::transforms`]
+    /// transforms for ordinary jobs. A split large transform reports the
+    /// serial sum of its sub-jobs (callers asking "how heavy is this
+    /// job"; the packer costs its units individually via
+    /// [`Self::unit_costs`]).
     pub fn job_cost(&mut self, job: &NttJob) -> f64 {
         let transform = self.transform_cost(job.n());
-        match job.kind {
-            JobKind::Forward | JobKind::Inverse => transform,
-            JobKind::NegacyclicPolymul { .. } => 3.0 * transform,
-            JobKind::SplitLarge => match plan_split(job.n(), self.config.total_banks()) {
-                Ok(split) => {
-                    split.cols as f64 * self.transform_cost(split.rows)
-                        + split.rows as f64 * self.transform_cost(split.cols)
-                }
-                Err(_) => transform,
-            },
+        if job.kind != JobKind::SplitLarge {
+            return LaneOp::of(&job.kind).transforms() * transform;
+        }
+        match plan_split(job.n(), self.config.total_banks()) {
+            Ok(split) => {
+                split.cols as f64 * self.transform_cost(split.rows)
+                    + split.rows as f64 * self.transform_cost(split.cols)
+            }
+            Err(_) => transform,
         }
     }
 
@@ -296,6 +300,24 @@ impl DeviceCostModel {
         let costs = self.unit_costs(jobs);
         lpt_makespan(&costs, &self.config.topology)
     }
+}
+
+/// Scheduled latency of one length-`n` forward NTT over [`COST_MODEL_Q`]
+/// on `config`, ns (`None` where the mapper has no program for `n`).
+fn scheduled_forward_ns(config: &PimConfig, opts: &MapperOptions, n: usize) -> Option<f64> {
+    let layout = PolyLayout::new(config, 0, n).ok()?;
+    let omega = prime::root_of_unity(n as u64, COST_MODEL_Q).ok()? as u32;
+    let params = NttParams {
+        q: COST_MODEL_Q as u32,
+        omega,
+    };
+    let opts = MapperOptions {
+        dataflow: Dataflow::DitFromBitrev,
+        inverse: false,
+        ..*opts
+    };
+    let program = mapper::map_ntt(config, &layout, &params, &opts).ok()?;
+    Some(sched::schedule(config, &program).ok()?.latency_ns())
 }
 
 /// One schedulable unit of a batch plan: either a whole job, or one
@@ -1000,40 +1022,28 @@ impl BatchExecutor {
     }
 }
 
-/// Validates one job against a device configuration's capability window:
-/// power-of-two length, prime 32-bit modulus with a 2N-th root of unity,
-/// reduced coefficients, and bank capacity for every operand.
+/// Validates one job against a device configuration: the shared shape
+/// validator ([`validate_shape`]), the PIM capability window
+/// ([`CapabilityWindow::pim`]: 32-bit datapath, max length), then bank
+/// capacity for every operand and, for split jobs, a plannable
+/// factorization.
 ///
 /// This is the per-job half of [`BatchExecutor`]'s whole-batch
-/// validation, exposed so admission-controlled front-ends (the serving
-/// layer) can reject a malformed request *on its own ticket* instead of
-/// letting it poison the micro-batch it would have joined.
+/// validation, and the whole of a PIM bus slot's admission, so
+/// admission-controlled front-ends (the serving layer) can reject a
+/// malformed request *on its own ticket* instead of letting it poison
+/// the micro-batch it would have joined.
 ///
 /// # Errors
 ///
-/// [`EngineError::Shape`] describing the violation (without a job index
-/// — the caller knows which request it is holding).
+/// [`EngineError::Shape`] describing a malformed job or a capacity
+/// violation (without a job index — the caller knows which request it
+/// is holding); [`EngineError::Unsupported`] outside the PIM window.
 pub fn validate_job(config: &PimConfig, job: &NttJob) -> Result<(), EngineError> {
-    let shape = |reason: String| EngineError::Shape { reason };
+    validate_shape(job)?;
     let n = job.n();
-    if !n.is_power_of_two() || n < 4 {
-        return Err(shape(format!("length {n} is not a power of two >= 4")));
-    }
-    if job.q > u64::from(u32::MAX) {
-        return Err(shape(format!(
-            "q={} exceeds the 32-bit PIM datapath",
-            job.q
-        )));
-    }
-    if !prime::is_prime(job.q) {
-        return Err(shape(format!("q={} is not prime", job.q)));
-    }
-    if (job.q - 1) % (2 * n as u64) != 0 {
-        return Err(shape(format!(
-            "q={} has no 2N-th root of unity (2N ∤ q-1)",
-            job.q
-        )));
-    }
+    CapabilityWindow::pim(config.total_banks()).admits("pim", n, job.q)?;
+    let shape = |reason: String| EngineError::Shape { reason };
     // Capacity: the operand(s) must fit the bank. A split job only ever
     // materializes its column/row sub-vectors in a bank, so *those* must
     // fit — the full transform may exceed any single bank.
@@ -1052,51 +1062,30 @@ pub fn validate_job(config: &PimConfig, job: &NttJob) -> Result<(), EngineError>
     } else {
         PolyLayout::new(config, 0, n).map_err(|e| shape(e.to_string()))?;
     }
-    if job.coeffs.iter().any(|&c| c >= job.q) {
-        return Err(shape("coefficients not reduced modulo q".into()));
-    }
-    if let JobKind::NegacyclicPolymul { rhs } = &job.kind {
-        if rhs.len() != n {
-            return Err(shape(format!(
-                "operand lengths differ ({n} vs {})",
-                rhs.len()
-            )));
-        }
-        if rhs.iter().any(|&c| c >= job.q) {
-            return Err(shape("rhs coefficients not reduced modulo q".into()));
-        }
+    if let JobKind::NegacyclicPolymul { .. } = job.kind {
         PolyLayout::new(config, config.polymul_rhs_base(n), n)
             .map_err(|e| shape(format!("second operand: {e}")))?;
     }
     Ok(())
 }
 
-/// Sequential baseline: runs the same jobs one by one on any engine,
-/// summing reported latency — the yardstick bank-level parallelism is
-/// measured against.
-///
-/// The merged report's `source` is the per-job reports' common source;
-/// if a (custom) engine mixes sources within one batch, the merge falls
-/// back to [`ReportSource::Measured`], the conservative catch-all for
-/// numbers with no single provenance. An empty batch reports `Measured`.
+/// Sequential baseline: runs the same jobs one by one on the golden CPU
+/// engine, summing measured latency.
 ///
 /// # Errors
 ///
-/// Propagates the engine's errors.
+/// Propagates the engine's validation errors.
 pub fn run_sequential(
-    engine: &mut dyn NttEngine,
+    engine: &mut CpuNttEngine,
     jobs: &[NttJob],
 ) -> Result<(Vec<Vec<u64>>, EngineReport), EngineError> {
     let mut spectra = Vec::with_capacity(jobs.len());
     let mut total = 0.0;
-    let mut energy: Option<f64> = None;
-    let mut acts: Option<u64> = None;
-    let mut source: Option<ReportSource> = None;
     for job in jobs {
         let mut data = job.coeffs.clone();
         let rep = match &job.kind {
-            // A split job is functionally a forward NTT: engines without
-            // a topology to split across just run the transform whole.
+            // A split job is functionally a forward NTT: the host has no
+            // topology to split across, so it runs the transform whole.
             JobKind::Forward | JobKind::SplitLarge => engine.forward(&mut data, job.q)?,
             JobKind::Inverse => engine.inverse(&mut data, job.q)?,
             JobKind::NegacyclicPolymul { rhs } => {
@@ -1105,42 +1094,95 @@ pub fn run_sequential(
         };
         spectra.push(data);
         total += rep.latency_ns;
-        if let Some(e) = rep.energy_nj {
-            energy = Some(energy.unwrap_or(0.0) + e);
-        }
-        if let Some(a) = rep.activations {
-            acts = Some(acts.unwrap_or(0) + a);
-        }
-        source = Some(match source {
-            None => rep.source,
-            Some(s) if s == rep.source => s,
-            Some(_) => ReportSource::Measured,
-        });
     }
-    Ok((
-        spectra,
-        EngineReport {
-            latency_ns: total,
-            energy_nj: energy,
-            activations: acts,
-            source: source.unwrap_or(ReportSource::Measured),
-        },
-    ))
+    Ok((spectra, EngineReport::measured(total)))
 }
 
-/// Lane-batched CPU execution of a mixed job batch: groups same-`(kind,
-/// n, q)` jobs (first-seen order) and drives each group through
-/// [`CpuNttEngine`]'s lane-batched entry points
-/// ([`CpuNttEngine::forward_batch`] and friends), scattering the spectra
-/// back into job order. This is how the serving layer's golden-verify
-/// mode consumes a whole micro-batch in one sweep instead of job by job.
+/// What one lane group computes. A split job is a forward NTT
+/// functionally, so it groups with the forwards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneOp {
+    /// Forward cyclic NTTs (and split large transforms).
+    Forward,
+    /// Inverse cyclic NTTs.
+    Inverse,
+    /// Negacyclic products.
+    Polymul,
+}
+
+impl LaneOp {
+    /// The lane operation a job kind runs as.
+    pub fn of(kind: &JobKind) -> Self {
+        match kind {
+            JobKind::Forward | JobKind::SplitLarge => LaneOp::Forward,
+            JobKind::Inverse => LaneOp::Inverse,
+            JobKind::NegacyclicPolymul { .. } => LaneOp::Polymul,
+        }
+    }
+
+    /// Cost of one job of this operation in single transforms — the one
+    /// job-kind factor every cost model prices by. A negacyclic product
+    /// runs three transforms plus element-wise passes; 3× one transform
+    /// is accurate enough for routing and bin-packing, which only need
+    /// relative weights.
+    pub fn transforms(self) -> f64 {
+        match self {
+            LaneOp::Forward | LaneOp::Inverse => 1.0,
+            LaneOp::Polymul => 3.0,
+        }
+    }
+}
+
+/// One same-`(op, n, q)` group of a batch: the unit the lane-batched CPU
+/// kernel runs and the CPU-lane cost model prices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneGroup {
+    /// What every job of the group computes.
+    pub op: LaneOp,
+    /// Transform length.
+    pub n: usize,
+    /// Modulus.
+    pub q: u64,
+    /// Indices into the batch, in arrival order.
+    pub jobs: Vec<usize>,
+}
+
+/// Groups a batch by `(op, n, q)` in first-seen order. Few distinct
+/// shapes arrive per micro-batch, so a linear scan keeps first-seen
+/// order without hashing.
+pub fn group_by_shape(jobs: &[NttJob]) -> Vec<LaneGroup> {
+    let mut groups: Vec<LaneGroup> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let (op, n, q) = (LaneOp::of(&job.kind), job.n(), job.q);
+        match groups
+            .iter_mut()
+            .find(|g| g.op == op && g.n == n && g.q == q)
+        {
+            Some(g) => g.jobs.push(i),
+            None => groups.push(LaneGroup {
+                op,
+                n,
+                q,
+                jobs: vec![i],
+            }),
+        }
+    }
+    groups
+}
+
+/// Lane-batched CPU execution of a mixed job batch: drives each
+/// [`group_by_shape`] group through [`CpuNttEngine`]'s lane-batched
+/// entry points ([`CpuNttEngine::forward_batch`] and friends),
+/// scattering the spectra back into job order. This is how the serving
+/// layer's golden-verify mode consumes a whole micro-batch in one sweep
+/// instead of job by job.
 ///
 /// Returns the job-order spectra, the merged measured report, and how
 /// many jobs' transforms rode the lane kernel (group tails shorter than
 /// [`crate::reference::lanes::LANE_WIDTH`] run the scalar kernel —
 /// bit-identical results either way, so the count is a performance
 /// counter, not a correctness signal). Output spectra are bit-identical
-/// to [`run_sequential`] over the same jobs on a CPU engine.
+/// to [`run_sequential`] over the same jobs.
 ///
 /// # Errors
 ///
@@ -1151,66 +1193,39 @@ pub fn run_lane_batched(
     cpu: &mut CpuNttEngine,
     jobs: &[NttJob],
 ) -> Result<(Vec<Vec<u64>>, EngineReport, usize), EngineError> {
-    // Few distinct (kind, n, q) combinations per micro-batch: a linear
-    // scan keeps first-seen group order without hashing.
-    let mut groups: Vec<(u8, usize, u64, Vec<usize>)> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let tag = match job.kind {
-            // Split jobs are forward NTTs functionally — same lane group.
-            JobKind::Forward | JobKind::SplitLarge => 0u8,
-            JobKind::Inverse => 1,
-            JobKind::NegacyclicPolymul { .. } => 2,
-        };
-        let (n, q) = (job.n(), job.q);
-        match groups
-            .iter_mut()
-            .find(|g| g.0 == tag && g.1 == n && g.2 == q)
-        {
-            Some(g) => g.3.push(i),
-            None => groups.push((tag, n, q, vec![i])),
-        }
-    }
     let mut spectra: Vec<Vec<u64>> = vec![Vec::new(); jobs.len()];
     let mut latency_ns = 0.0;
     let mut lane_jobs = 0usize;
-    for (tag, _, q, idx) in &groups {
-        let mut batch: Vec<Vec<u64>> = idx.iter().map(|&i| jobs[i].coeffs.clone()).collect();
-        let (rep, lanes) = match tag {
-            0 => cpu.forward_batch(&mut batch, *q)?,
-            1 => cpu.inverse_batch(&mut batch, *q)?,
-            _ => {
-                let rhs: Vec<Vec<u64>> = idx
+    for group in group_by_shape(jobs) {
+        let mut batch: Vec<Vec<u64>> = group.jobs.iter().map(|&i| jobs[i].coeffs.clone()).collect();
+        let (rep, lanes) = match group.op {
+            LaneOp::Forward => cpu.forward_batch(&mut batch, group.q)?,
+            LaneOp::Inverse => cpu.inverse_batch(&mut batch, group.q)?,
+            LaneOp::Polymul => {
+                let rhs: Vec<Vec<u64>> = group
+                    .jobs
                     .iter()
                     .map(|&i| match &jobs[i].kind {
                         JobKind::NegacyclicPolymul { rhs } => rhs.clone(),
                         _ => unreachable!("group holds only polymul jobs"),
                     })
                     .collect();
-                cpu.negacyclic_polymul_batch(&mut batch, &rhs, *q)?
+                cpu.negacyclic_polymul_batch(&mut batch, &rhs, group.q)?
             }
         };
         latency_ns += rep.latency_ns;
         lane_jobs += lanes;
-        for (&i, data) in idx.iter().zip(batch) {
+        for (&i, data) in group.jobs.iter().zip(batch) {
             spectra[i] = data;
         }
     }
-    Ok((
-        spectra,
-        EngineReport {
-            latency_ns,
-            energy_nj: None,
-            activations: None,
-            source: ReportSource::Measured,
-        },
-        lane_jobs,
-    ))
+    Ok((spectra, EngineReport::measured(latency_ns), lane_jobs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineCaps;
+    use crate::engine::ReportSource;
 
     const Q: u64 = 12289;
 
@@ -1689,81 +1704,5 @@ mod tests {
             run_lane_batched(&mut cpu, &[bad]),
             Err(EngineError::Shape { .. })
         ));
-    }
-
-    /// Test double whose reports cycle through provenance kinds, to pin
-    /// the sequential merge behavior for mixed sources.
-    struct SourceCycler {
-        calls: usize,
-        sources: Vec<ReportSource>,
-    }
-
-    impl NttEngine for SourceCycler {
-        fn name(&self) -> &str {
-            "source-cycler"
-        }
-
-        fn caps(&self) -> EngineCaps {
-            EngineCaps {
-                arbitrary_modulus: true,
-                native_modulus: None,
-                max_n: None,
-                bitwidth: 62,
-                on_device: true,
-                parallel_lanes: 1,
-            }
-        }
-
-        fn forward(&mut self, _data: &mut [u64], _q: u64) -> Result<EngineReport, EngineError> {
-            let source = self.sources[self.calls % self.sources.len()];
-            self.calls += 1;
-            Ok(EngineReport {
-                latency_ns: 1.0,
-                energy_nj: None,
-                activations: None,
-                source,
-            })
-        }
-
-        fn inverse(&mut self, data: &mut [u64], q: u64) -> Result<EngineReport, EngineError> {
-            self.forward(data, q)
-        }
-
-        fn negacyclic_polymul(
-            &mut self,
-            a: &mut [u64],
-            _b: &[u64],
-            q: u64,
-        ) -> Result<EngineReport, EngineError> {
-            self.forward(a, q)
-        }
-
-        fn cost_estimate(&self, _n: usize) -> Option<super::super::CostEstimate> {
-            None
-        }
-    }
-
-    #[test]
-    fn sequential_merge_reports_common_source_or_conservative_fallback() {
-        let jobs: Vec<NttJob> = (0..3).map(|i| job(64, 600 + i)).collect();
-        // Uniform provenance is preserved...
-        let mut uniform = SourceCycler {
-            calls: 0,
-            sources: vec![ReportSource::Simulated],
-        };
-        let (_, rep) = run_sequential(&mut uniform, &jobs).unwrap();
-        assert_eq!(rep.source, ReportSource::Simulated);
-        // ...mixed provenance merges to the conservative Measured, even
-        // when the *last* job reports Published (the old bug reported
-        // whatever the final job said).
-        let mut mixed = SourceCycler {
-            calls: 0,
-            sources: vec![ReportSource::Simulated, ReportSource::Published],
-        };
-        let (_, rep) = run_sequential(&mut mixed, &jobs).unwrap();
-        assert_eq!(rep.source, ReportSource::Measured);
-        // Empty batches have no provenance to report: Measured.
-        let (_, rep) = run_sequential(&mut mixed, &[]).unwrap();
-        assert_eq!(rep.source, ReportSource::Measured);
     }
 }
