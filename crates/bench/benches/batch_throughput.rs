@@ -1,11 +1,10 @@
 //! Throughput of batched, bank-parallel NTT execution: `BatchExecutor`
-//! fanning a fixed 16-job batch across 1, 4, and 16 banks; the
-//! scheduling-policy comparison on a skewed mixed-size batch (LPT
-//! bin-packing + async drain vs round-robin waves); and the sequential
+//! fanning a fixed 16-job batch across 1, 4, and 16 banks; a skewed
+//! mixed-size batch (LPT bin-packing + async drain); and the sequential
 //! golden CPU yardstick (`run_sequential`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ntt_pim::engine::batch::{run_sequential, BatchExecutor, NttJob, SchedulePolicy};
+use ntt_pim::engine::batch::{run_sequential, BatchExecutor, NttJob};
 use ntt_pim::engine::CpuNttEngine;
 use ntt_pim_core::config::PimConfig;
 
@@ -25,7 +24,7 @@ fn jobs(n: usize) -> Vec<NttJob> {
         .collect()
 }
 
-/// The ISSUE's skewed RNS-style batch: 12 jobs alternating N=256 and
+/// A skewed RNS-style batch: 12 jobs alternating N=256 and
 /// N=4096 (q supports both: 2^13 | q-1).
 fn skewed_jobs() -> Vec<NttJob> {
     const QS: u64 = 8_380_417;
@@ -52,7 +51,7 @@ fn bench_batch_across_banks(c: &mut Criterion) {
         let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(banks)).unwrap();
         group.bench_with_input(BenchmarkId::new("banks", banks), &banks, |b, _| {
             b.iter(|| {
-                let out = exec.run_forward(&batch).unwrap();
+                let out = exec.run(&batch).unwrap();
                 assert_eq!(out.spectra.len(), JOBS);
                 out.latency_ns
             })
@@ -61,32 +60,21 @@ fn bench_batch_across_banks(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scheduling-policy face-off on the skewed batch (12 jobs, N ∈ {256,
-/// 4096}, 4 banks). Criterion times the host-side simulation; the
-/// *simulated* batch latency — the number the policies actually compete
-/// on — is printed once per policy so the speedup is measured, not
-/// asserted (the regression test lives in `tests/batch_scheduler.rs`).
-fn bench_skewed_schedule_policies(c: &mut Criterion) {
+/// The skewed batch (12 jobs, N ∈ {256, 4096}, 4 banks). Criterion
+/// times the host-side simulation; the *simulated* batch latency is
+/// printed once.
+fn bench_skewed_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_throughput/skewed_12jobs_n256_n4096_4banks");
     group.sample_size(10);
     let batch = skewed_jobs();
-    for (label, policy) in [
-        ("lpt", SchedulePolicy::Lpt),
-        ("round-robin", SchedulePolicy::RoundRobin),
-    ] {
-        let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4))
-            .unwrap()
-            .with_policy(policy);
-        let modeled = exec.run(&batch).unwrap();
-        println!(
-            "skewed batch, {label:>11}: simulated latency {:>9.2} µs, {} waves",
-            modeled.latency_us(),
-            modeled.waves
-        );
-        group.bench_with_input(BenchmarkId::new("policy", label), &(), |b, ()| {
-            b.iter(|| exec.run(&batch).unwrap().latency_ns)
-        });
-    }
+    let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4)).unwrap();
+    let modeled = exec.run(&batch).unwrap();
+    println!(
+        "skewed batch: simulated latency {:>9.2} µs, {} waves",
+        modeled.latency_us(),
+        modeled.waves
+    );
+    group.bench_function("lpt", |b| b.iter(|| exec.run(&batch).unwrap().latency_ns));
     group.finish();
 }
 
@@ -108,7 +96,7 @@ fn bench_sequential_cpu_yardstick(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_batch_across_banks,
-    bench_skewed_schedule_policies,
+    bench_skewed_batch,
     bench_sequential_cpu_yardstick
 );
 criterion_main!(benches);

@@ -24,7 +24,7 @@
 //!   kinds receive work, and parity is clean. This is the CI
 //!   heterogeneous-routing gate (simulated time, deterministic).
 
-use ntt_bus::{BackendKind, BackendSpec, NttBackend, NttJob, PublishedKind, SchedulePolicy};
+use ntt_bus::{BackendKind, BackendSpec, NttBackend, NttJob, PublishedKind};
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::engine::{CpuNttEngine, NttEngine};
 use ntt_service::FleetRouter;
@@ -106,8 +106,7 @@ fn golden(jobs: &[NttJob]) -> Vec<Vec<u64>> {
 }
 
 fn build(spec: &BackendSpec) -> Box<dyn NttBackend> {
-    spec.build(SchedulePolicy::Lpt, None)
-        .expect("valid backend spec")
+    spec.build(None).expect("valid backend spec")
 }
 
 /// Executes `assignment[slot] = job indices` on freshly built backends,

@@ -16,7 +16,7 @@ fn run(title: &str, commands: Vec<PimCommand>, cycles: u64) {
         c1_ops: 0,
         marks: Vec::new(),
     };
-    let tl = schedule(&config, &program).expect("schedule");
+    let tl = schedule(&config, &program).expect("fig. 5 program schedules");
     let cyc = config.timing.resolve().cycle_ps;
     println!("{title}");
     println!("{}", tl.render_ascii(0, cycles * cyc, cyc));

@@ -15,7 +15,7 @@ use ntt_pim::core::device::QueueReport;
 use ntt_pim::core::PimError;
 use ntt_pim::engine::batch::{
     group_by_shape, run_lane_batched, run_sequential, BatchExecutor, DeviceCostModel, LaneOp,
-    NttJob, SchedulePolicy,
+    NttJob,
 };
 use ntt_pim::engine::{CpuDataflow, CpuNttEngine, EngineError, ReportSource};
 use ntt_pim::reference::cache::PlanCache;
@@ -41,8 +41,6 @@ pub struct BackendOutcome {
     pub bus_slots: u64,
     /// Rank-level row activations (PIM only; 0 elsewhere).
     pub rank_acts: u64,
-    /// The policy that scheduled the batch.
-    pub policy: SchedulePolicy,
     /// The (possibly synthetic `1×1×lanes`) topology the batch ran on.
     pub topology: Topology,
     /// Per-lane completion/energy accounting; non-PIM backends
@@ -143,14 +141,7 @@ impl PimBackend {
         })
     }
 
-    /// Same backend with a different scheduling policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.exec.set_policy(policy);
-        self
-    }
-
-    /// Wraps an existing executor (preserving its device and policy).
+    /// Wraps an existing executor (preserving its device).
     pub fn from_executor(exec: BatchExecutor) -> Self {
         Self { exec }
     }
@@ -204,7 +195,6 @@ impl NttBackend for PimBackend {
             job_latency_ns: out.job_latency_ns,
             bus_slots: out.bus_slots,
             rank_acts: out.rank_acts,
-            policy: out.policy,
             topology: out.topology,
             queue_report: out.queue_report,
             source: ReportSource::Simulated,
@@ -309,7 +299,6 @@ impl NttBackend for CpuLanesBackend {
             job_latency_ns,
             bus_slots: 0,
             rank_acts: 0,
-            policy: SchedulePolicy::Lpt,
             topology: self.topology(),
             queue_report: queue,
             source: ReportSource::Simulated,
@@ -410,7 +399,6 @@ impl NttBackend for PublishedBackend {
             job_latency_ns,
             bus_slots: 0,
             rank_acts: 0,
-            policy: SchedulePolicy::Lpt,
             topology: self.topology(),
             queue_report: queue,
             source: ReportSource::Published,

@@ -55,5 +55,5 @@ pub use window::{validate_shape, BackendKind, CapabilityWindow};
 
 // Re-exported so bus consumers (service, bench, CLI) name job and error
 // types through one crate.
-pub use ntt_pim::engine::batch::{NttJob, SchedulePolicy};
+pub use ntt_pim::engine::batch::NttJob;
 pub use ntt_pim::engine::EngineError;

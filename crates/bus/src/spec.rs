@@ -11,7 +11,7 @@ use crate::cost::{BusCostModel, CpuLaneCostModel, PublishedCostModel};
 use crate::window::BackendKind;
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::PimError;
-use ntt_pim::engine::batch::{DeviceCostModel, SchedulePolicy};
+use ntt_pim::engine::batch::DeviceCostModel;
 use ntt_pim::reference::cache::PlanCache;
 use pim_baselines::{BpNttModel, MenttModel, NttAccelerator};
 use std::fmt;
@@ -171,20 +171,16 @@ impl BackendSpec {
         }
     }
 
-    /// Stands up the backend this slot describes. PIM slots take the
-    /// scheduling `policy`; CPU slots share `cache` when given (one
-    /// plan cache across a fleet's CPU slots and verifiers).
+    /// Stands up the backend this slot describes. CPU slots share
+    /// `cache` when given (one plan cache across a fleet's CPU slots and
+    /// verifiers).
     ///
     /// # Errors
     ///
     /// Propagates PIM configuration validation errors.
-    pub fn build(
-        &self,
-        policy: SchedulePolicy,
-        cache: Option<&Arc<PlanCache>>,
-    ) -> Result<Box<dyn NttBackend>, PimError> {
+    pub fn build(&self, cache: Option<&Arc<PlanCache>>) -> Result<Box<dyn NttBackend>, PimError> {
         Ok(match self {
-            BackendSpec::Pim(config) => Box::new(PimBackend::new(*config)?.with_policy(policy)),
+            BackendSpec::Pim(config) => Box::new(PimBackend::new(*config)?),
             BackendSpec::CpuLanes => Box::new(match cache {
                 Some(cache) => CpuLanesBackend::with_cache(Arc::clone(cache)),
                 None => CpuLanesBackend::new(),

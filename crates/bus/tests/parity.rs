@@ -11,7 +11,7 @@
 
 use ntt_bus::{BackendBus, BackendSpec, EngineError, NttJob};
 use ntt_pim::core::config::PimConfig;
-use ntt_pim::engine::batch::{run_lane_batched, BatchExecutor, JobKind, SchedulePolicy};
+use ntt_pim::engine::batch::{run_lane_batched, BatchExecutor, JobKind};
 use ntt_pim::engine::{cpu_kernel_label, CpuNttEngine, NttEngine};
 use ntt_pim::math::prime;
 use ntt_pim::reference::{four_step, pease, stockham};
@@ -66,7 +66,7 @@ fn full_bus() -> BackendBus {
         BackendSpec::parse("mentt").unwrap(),
         BackendSpec::parse("bp-ntt").unwrap(),
     ] {
-        bus.register(spec.build(SchedulePolicy::Lpt, None).unwrap());
+        bus.register(spec.build(None).unwrap());
     }
     bus
 }

@@ -40,14 +40,13 @@ COMMON OPTIONS:
     --lengths <...>  (sweep) list of lengths               [default: 256..8192]
 
 BATCH OPTIONS:
-    --jobs <k>       number of independent NTT jobs        [default: 16]
-    --schedule <p>   lpt (cost-model bin-packing, async drain)
-                     or round-robin (barrier waves)        [default: lpt]
-    --lengths <...>  job lengths, cycled over the batch
-                     (mixed sizes show the LPT gain)       [default: --n]
+    --jobs <k>       number of independent NTT jobs, packed onto
+                     per-bank queues by cost-model LPT and
+                     drained asynchronously                [default: 16]
+    --lengths <...>  job lengths, cycled over the batch    [default: --n]
     --split          run job 0 as one large length---n NTT split across
                      the whole topology (four-step column/row sub-jobs
-                     with a dependency barrier; requires --schedule lpt)
+                     with a dependency barrier)
     --backend <b>    run the batch through one named backend-bus slot
                      instead of the raw executor: pim, cpu-lanes,
                      mentt, or bp-ntt (jobs outside the backend's
@@ -288,7 +287,7 @@ fn polymul(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn batch(args: &ParsedArgs) -> Result<String, CliError> {
-    use ntt_pim::engine::batch::{BatchExecutor, NttJob, SchedulePolicy};
+    use ntt_pim::engine::batch::{BatchExecutor, NttJob};
     use ntt_pim::engine::{CpuNttEngine, NttEngine};
 
     let n: usize = args.get_or("n", 1024)?;
@@ -299,7 +298,6 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     let topology = topology_from(args, 16)?;
     let nb: usize = args.get_or("nb", 2)?;
     let clock: u32 = args.get_or("clock", 1200)?;
-    let policy: SchedulePolicy = args.get_or("schedule", SchedulePolicy::Lpt)?;
     // Mixed-size batches (the RNS workload): job j gets lengths[j % len].
     let lengths: Vec<usize> = args.get_list_or("lengths", vec![n])?;
     if lengths.is_empty() {
@@ -338,12 +336,10 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     // slot (the registry/dispatch path the serving layer routes over)
     // instead of the raw executor.
     if let Some(name) = args.options.get("backend") {
-        return batch_on_backend(name, &jobs, config, policy, &lengths);
+        return batch_on_backend(name, &jobs, config, &lengths);
     }
 
-    let mut exec = BatchExecutor::new(config)
-        .map_err(|e| CliError::runtime(e.to_string()))?
-        .with_policy(policy);
+    let mut exec = BatchExecutor::new(config).map_err(|e| CliError::runtime(e.to_string()))?;
     // Sequential yardstick: the scheduler's own memoized per-job cost
     // estimates (single-bank simulated latency), summed.
     let sequential_ns: f64 = exec
@@ -378,7 +374,6 @@ fn batch(args: &ParsedArgs) -> Result<String, CliError> {
          ({} banks)  Nb={nb}",
         config.total_banks()
     );
-    let _ = writeln!(outp, "  schedule       : {:>12}", policy.to_string());
     let _ = writeln!(outp, "  waves          : {:>12}", out.waves);
     let _ = writeln!(outp, "  batch latency  : {:>12.2} µs", out.latency_us());
     let _ = writeln!(
@@ -445,7 +440,6 @@ fn batch_on_backend(
     name: &str,
     jobs: &[ntt_pim::engine::batch::NttJob],
     config: PimConfig,
-    policy: ntt_pim::engine::batch::SchedulePolicy,
     lengths: &[usize],
 ) -> Result<String, CliError> {
     use ntt_bus::{BackendBus, BackendSpec};
@@ -457,7 +451,7 @@ fn batch_on_backend(
         spec = BackendSpec::Pim(config);
     }
     let backend = spec
-        .build(policy, None)
+        .build(None)
         .map_err(|e| CliError::runtime(e.to_string()))?;
     let mut bus = BackendBus::new();
     let handle = bus.register(backend);
@@ -534,7 +528,7 @@ fn percentile_us(sorted_ns: &[f64], p: usize) -> f64 {
 }
 
 fn serve(args: &ParsedArgs) -> Result<String, CliError> {
-    use ntt_pim::engine::batch::{NttJob, SchedulePolicy};
+    use ntt_pim::engine::batch::NttJob;
     use ntt_service::{NttService, ServiceConfig, ServiceError};
     use std::sync::Mutex;
     use std::time::{Duration, Instant};
@@ -548,7 +542,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
     let max_wait_us: u64 = args.get_or("max-wait-us", 500)?;
     let queue_depth: usize = args.get_or("queue-depth", 256)?;
     let tenant_inflight: usize = args.get_or("tenant-inflight", 0)?;
-    let policy: SchedulePolicy = args.get_or("schedule", SchedulePolicy::Lpt)?;
     let lengths: Vec<usize> = args.get_list_or(
         "lengths",
         if smoke {
@@ -608,7 +601,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         .collect::<Result<_, CliError>>()?;
 
     let mut service_config = ServiceConfig::new(pim)
-        .with_policy(policy)
         .with_steal_threshold(Duration::from_micros(steal_threshold_us))
         .with_max_wait(Duration::from_micros(max_wait_us))
         .with_queue_depth(queue_depth)
@@ -845,25 +837,14 @@ mod tests {
         assert!(run_line("batch --n 256 --jobs 0 --banks 2").is_err());
         assert!(run_line("batch --n 256 --jobs 2 --banks 0").is_err());
         assert!(run_line("batch --n 1000 --jobs 2 --banks 2").is_err());
-        assert!(run_line("batch --n 256 --jobs 2 --banks 2 --schedule frob").is_err());
-    }
-
-    #[test]
-    fn batch_supports_both_scheduling_policies() {
-        let lpt = run_line("batch --jobs 4 --banks 2 --lengths 64,256 --schedule lpt").unwrap();
-        assert!(lpt.contains("schedule       :          lpt"), "{lpt}");
-        assert!(lpt.contains("verification   : OK"));
-        let rr =
-            run_line("batch --jobs 4 --banks 2 --lengths 64,256 --schedule round-robin").unwrap();
-        assert!(rr.contains("schedule       :  round-robin"), "{rr}");
-        assert!(rr.contains("verification   : OK"));
     }
 
     #[test]
     fn batch_defaults_to_lpt_and_cycles_mixed_lengths() {
         let out = run_line("batch --jobs 4 --banks 4 --lengths 64,128").unwrap();
         assert!(out.contains("lengths=64,128"), "{out}");
-        assert!(out.contains("schedule       :          lpt"), "{out}");
+        // LPT deals four jobs to four banks: one queue position deep.
+        assert!(out.contains("waves          :            1"), "{out}");
     }
 
     #[test]
@@ -877,10 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_split_requires_lpt_and_a_splittable_length() {
-        let e = run_line("batch --n 1024 --jobs 1 --banks 4 --split --schedule round-robin")
-            .unwrap_err();
-        assert!(e.to_string().contains("lpt"), "{e}");
+    fn batch_split_requires_a_splittable_length() {
         assert!(run_line("batch --n 8 --jobs 1 --banks 4 --split").is_err());
     }
 

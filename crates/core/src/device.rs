@@ -11,6 +11,12 @@
 //! / [`PimDevice::read_polynomial`] and is excluded from reported latency,
 //! matching the paper's measurement boundary ("except the bit reversal,
 //! which is common in all the compared works").
+//!
+//! Single requests are timed by [`sched::schedule`] and reported as an
+//! [`NttReport`]. Every multi-bank request ([`PimDevice::ntt_batch`],
+//! [`PimDevice::schedule_queues`], [`PimDevice::schedule_queues_dag`]) is
+//! timed by the one queue drain in [`crate::sched`] and reported as a
+//! [`QueueReport`].
 
 use crate::config::PimConfig;
 use crate::energy::EnergyReport;
@@ -126,23 +132,6 @@ impl NttReport {
     }
 }
 
-/// Result of a bank-parallel batch request.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Per-bank timing (parallel to the request's handle/pair order).
-    pub per_bank_ns: Vec<f64>,
-    /// Per-bank energy, nJ (same order as `per_bank_ns`).
-    pub per_bank_energy_nj: Vec<f64>,
-    /// Batch latency (slowest bank), ns.
-    pub latency_ns: f64,
-    /// Total energy across banks, nJ.
-    pub energy_nj: f64,
-    /// Shared command-bus slots the batch consumed.
-    pub bus_slots: u64,
-    /// Rank-level activations (tRRD/tFAW-coupled across banks).
-    pub rank_acts: u64,
-}
-
 /// Result of a per-bank job-queue request ([`PimDevice::schedule_queues`]):
 /// banks drain their queues asynchronously — each advances to its next job
 /// as soon as the previous finishes — coupled only through the shared
@@ -178,10 +167,8 @@ pub struct QueueReport {
 }
 
 impl QueueReport {
-    /// An all-zero report shaped for a `channels × ranks × banks` device:
-    /// the identity for [`Self::absorb_serial`], used to merge the
-    /// barrier-separated wave reports of round-robin batch execution
-    /// into one batch-level report.
+    /// An all-zero report shaped for a `channels × ranks × banks` device,
+    /// for backends that fill in their own per-lane accounting.
     pub fn empty(total_banks: usize, channels: usize, total_ranks: usize) -> Self {
         Self {
             per_bank_ns: vec![0.0; total_banks],
@@ -195,53 +182,6 @@ impl QueueReport {
             per_rank_acts: vec![0; total_ranks],
             barrier_ns: Vec::new(),
         }
-    }
-
-    /// Appends `other` *after* a full-chip barrier at `self.latency_ns`
-    /// (the round-robin wave semantics): batch latency and per-bank busy
-    /// times add, job completion times shift by the barrier, and bus/ACT
-    /// counters accumulate element-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two reports describe differently-shaped devices.
-    pub fn absorb_serial(&mut self, other: &QueueReport) {
-        assert_eq!(self.per_bank_ns.len(), other.per_bank_ns.len());
-        assert_eq!(
-            self.per_channel_bus_slots.len(),
-            other.per_channel_bus_slots.len()
-        );
-        assert_eq!(self.per_rank_acts.len(), other.per_rank_acts.len());
-        let barrier = self.latency_ns;
-        for (mine, theirs) in self.job_end_ns.iter_mut().zip(&other.job_end_ns) {
-            mine.extend(theirs.iter().map(|&end| barrier + end));
-        }
-        self.barrier_ns
-            .extend(other.barrier_ns.iter().map(|&end| barrier + end));
-        for (mine, &theirs) in self.per_bank_ns.iter_mut().zip(&other.per_bank_ns) {
-            *mine += theirs;
-        }
-        for (mine, &theirs) in self
-            .per_bank_energy_nj
-            .iter_mut()
-            .zip(&other.per_bank_energy_nj)
-        {
-            *mine += theirs;
-        }
-        for (mine, &theirs) in self
-            .per_channel_bus_slots
-            .iter_mut()
-            .zip(&other.per_channel_bus_slots)
-        {
-            *mine += theirs;
-        }
-        for (mine, &theirs) in self.per_rank_acts.iter_mut().zip(&other.per_rank_acts) {
-            *mine += theirs;
-        }
-        self.latency_ns += other.latency_ns;
-        self.energy_nj += other.energy_nj;
-        self.bus_slots += other.bus_slots;
-        self.rank_acts += other.rank_acts;
     }
 
     /// Jobs timed across all banks.
@@ -266,21 +206,6 @@ impl QueueReport {
             per_channel_bus_slots: qt.per_channel_bus_slots.clone(),
             per_rank_acts: qt.per_rank_acts.clone(),
             barrier_ns: qt.barrier_ps.iter().map(|&ps| ps as f64 / 1000.0).collect(),
-        }
-    }
-}
-
-impl BatchReport {
-    fn from_parallel(parallel: &sched::ParallelTimeline) -> Self {
-        let per_bank_energy_nj: Vec<f64> =
-            parallel.banks.iter().map(|t| t.energy.total_nj()).collect();
-        Self {
-            per_bank_ns: parallel.banks.iter().map(|t| t.latency_ns()).collect(),
-            energy_nj: per_bank_energy_nj.iter().sum(),
-            per_bank_energy_nj,
-            latency_ns: parallel.latency_ns(),
-            bus_slots: parallel.bus_slots,
-            rank_acts: parallel.rank_acts,
         }
     }
 }
@@ -675,10 +600,9 @@ impl PimDevice {
     }
 
     /// Builds the fused negacyclic-polymul program for one operand pair
-    /// without scheduling or executing it — shared by
-    /// [`Self::polymul_negacyclic`] and [`Self::polymul_batch`], and the
-    /// polymul counterpart of [`Self::build_ntt_program`] for queue-based
-    /// batch execution.
+    /// without scheduling or executing it — used by
+    /// [`Self::polymul_negacyclic`], and the polymul counterpart of
+    /// [`Self::build_ntt_program`] for queue-based batch execution.
     ///
     /// # Errors
     ///
@@ -732,89 +656,33 @@ impl PimDevice {
         Ok(program)
     }
 
-    /// Runs one full negacyclic polynomial product per operand pair, each
-    /// pair in its own bank, over the shared command bus — an entire
-    /// RNS-form ring multiplication in one batch (the FHE op the paper's
-    /// introduction motivates, on-device end to end).
-    ///
-    /// Results land in each pair's first operand.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::BadConfig`] when pairs share a bank; per-pair errors as
-    /// in [`Self::polymul_negacyclic`].
-    pub fn polymul_batch(
-        &mut self,
-        pairs: &[(PolyHandle, PolyHandle)],
-    ) -> Result<BatchReport, PimError> {
-        let mut seen = std::collections::HashSet::new();
-        for (a, b) in pairs {
-            if a.bank != b.bank {
-                return Err(PimError::BadRegion {
-                    reason: "operand pair split across banks".into(),
-                });
-            }
-            if !seen.insert(a.bank) {
-                return Err(PimError::BadConfig {
-                    reason: format!("bank {} used by two batch entries", a.bank),
-                });
-            }
-        }
-        let programs = pairs
-            .iter()
-            .map(|(a, b)| self.polymul_program(a, b))
-            .collect::<Result<Vec<_>, _>>()?;
-        let parallel = sched::schedule_parallel(&self.config, &programs)?;
-        for ((a, _), prog) in pairs.iter().zip(&programs) {
-            self.banks[a.bank].execute(prog)?;
-        }
-        Ok(BatchReport::from_parallel(&parallel))
-    }
-
     /// Runs one forward NTT per handle, each in its own bank, over the
-    /// shared command bus (bank-level parallelism, §VI.A/§VII).
+    /// shared command bus (bank-level parallelism, §VI.A/§VII): each
+    /// handle's program is queued on the handle's own bank and the queues
+    /// are timed by [`Self::schedule_queues`].
     ///
     /// # Errors
     ///
     /// [`PimError::BadConfig`] when handles share a bank; per-handle
     /// errors as in [`Self::ntt`].
-    pub fn ntt_batch(&mut self, handles: &mut [PolyHandle]) -> Result<BatchReport, PimError> {
-        let mut seen = std::collections::HashSet::new();
+    pub fn ntt_batch(&mut self, handles: &mut [PolyHandle]) -> Result<QueueReport, PimError> {
+        let mut queues: Vec<Vec<Program>> = vec![Vec::new(); self.banks.len()];
         for h in handles.iter() {
-            if !seen.insert(h.bank) {
+            if !queues[h.bank].is_empty() {
                 return Err(PimError::BadConfig {
                     reason: format!("bank {} used by two batch entries", h.bank),
                 });
             }
-            if h.order != StoredOrder::BitReversed {
-                return Err(PimError::BadRegion {
-                    reason: "batch forward NTT expects bit-reversed storage".into(),
-                });
-            }
+            queues[h.bank].push(self.build_ntt_program(h, NttDirection::Forward)?);
         }
-        let mut programs = Vec::with_capacity(handles.len());
+        let report = self.schedule_queues(&queues)?;
         for h in handles.iter() {
-            let omega = modmath::prime::root_of_unity(h.n() as u64, h.q as u64)? as u32;
-            let opts = MapperOptions {
-                dataflow: Dataflow::DitFromBitrev,
-                inverse: false,
-                ..self.opts
-            };
-            programs.push(mapper::map_ntt(
-                &self.config,
-                &h.layout,
-                &NttParams { q: h.q, omega },
-                &opts,
-            )?);
-        }
-        let parallel = sched::schedule_parallel(&self.config, &programs)?;
-        for (h, prog) in handles.iter().zip(&programs) {
-            self.banks[h.bank].execute(prog)?;
+            self.banks[h.bank].execute(&queues[h.bank][0])?;
         }
         for h in handles.iter_mut() {
             h.order = StoredOrder::Natural;
         }
-        Ok(BatchReport::from_parallel(&parallel))
+        Ok(report)
     }
 }
 
@@ -873,6 +741,7 @@ mod tests {
         let x = poly(256, 1);
         let h = dev.load_polynomial(0, &x, Q).unwrap(); // natural
         assert!(dev.ntt(&h, NttDirection::Forward).is_err());
+        assert!(dev.ntt_batch(&mut [h]).is_err());
     }
 
     #[test]
@@ -1002,52 +871,12 @@ mod tests {
     }
 
     #[test]
-    fn polymul_batch_matches_sequential_products() {
-        let banks = 3;
-        let n = 256;
-        let mut dev = PimDevice::new(PimConfig::hbm2e(4).with_banks(banks)).unwrap();
-        let mut pairs = Vec::new();
-        let mut expects = Vec::new();
-        for bank in 0..banks as usize {
-            let a = poly(n, 50 + bank as u64);
-            let b = poly(n, 70 + bank as u64);
-            let ha = dev
-                .load_in_bank(bank, 0, &a, Q, StoredOrder::Natural)
-                .unwrap();
-            let hb = dev
-                .load_in_bank(bank, n, &b, Q, StoredOrder::Natural)
-                .unwrap();
-            let a64: Vec<u64> = a.iter().map(|&v| v as u64).collect();
-            let b64: Vec<u64> = b.iter().map(|&v| v as u64).collect();
-            expects.push(ntt_ref::naive::negacyclic_convolution(&a64, &b64, Q as u64));
-            pairs.push((ha, hb));
-        }
-        let report = dev.polymul_batch(&pairs).unwrap();
-        assert_eq!(report.per_bank_ns.len(), banks as usize);
-        // Batch of 3 products takes much less than 3x one product.
-        let single = {
-            let mut d = PimDevice::new(PimConfig::hbm2e(4)).unwrap();
-            let a = poly(n, 50);
-            let b = poly(n, 70);
-            let ha = d.load_polynomial(0, &a, Q).unwrap();
-            let hb = d.load_polynomial(n, &b, Q).unwrap();
-            d.polymul_negacyclic(&ha, &hb).unwrap().latency_ns()
-        };
-        assert!(report.latency_ns < 2.0 * single);
-        for (bank, (ha, _)) in pairs.iter().enumerate() {
-            let got = dev.read_polynomial(ha).unwrap();
-            let got64: Vec<u64> = got.iter().map(|&v| v as u64).collect();
-            assert_eq!(got64, expects[bank], "bank {bank}");
-        }
-    }
-
-    #[test]
-    fn polymul_batch_rejects_cross_bank_pairs() {
+    fn polymul_program_rejects_cross_bank_pairs() {
         let mut dev = PimDevice::new(PimConfig::hbm2e(4).with_banks(2)).unwrap();
         let a = poly(64, 1);
         let ha = dev.load_in_bank(0, 0, &a, Q, StoredOrder::Natural).unwrap();
         let hb = dev.load_in_bank(1, 0, &a, Q, StoredOrder::Natural).unwrap();
-        assert!(dev.polymul_batch(&[(ha, hb)]).is_err());
+        assert!(dev.polymul_program(&ha, &hb).is_err());
     }
 
     #[test]
@@ -1082,59 +911,6 @@ mod tests {
         assert!(report.job_end_ns[0][0] < report.job_end_ns[0][1]);
         assert!(report.latency_ns >= report.per_bank_ns[1]);
         assert!(report.energy_nj > 0.0 && report.bus_slots > 0 && report.rank_acts >= 3);
-    }
-
-    #[test]
-    fn queue_reports_merge_serially_with_a_barrier() {
-        // Two waves on the same 2-bank device: merging their reports with
-        // absorb_serial must match what a batch-level consumer expects —
-        // latencies add, job ends shift past the barrier, counters sum.
-        let mut dev = PimDevice::new(PimConfig::hbm2e(2).with_banks(2)).unwrap();
-        let mut wave_reports = Vec::new();
-        for seed in [1u64, 2] {
-            let mut queues: Vec<Vec<crate::mapper::Program>> = Vec::new();
-            for bank in 0..2usize {
-                let x = poly(128, seed * 10 + bank as u64);
-                let h = dev
-                    .load_in_bank(bank, 0, &x, Q, StoredOrder::BitReversed)
-                    .unwrap();
-                let program = dev.build_ntt_program(&h, NttDirection::Forward).unwrap();
-                dev.execute_program(bank, &program).unwrap();
-                queues.push(vec![program]);
-            }
-            wave_reports.push(dev.schedule_queues(&queues).unwrap());
-        }
-        let mut merged = QueueReport::empty(2, 1, 1);
-        assert_eq!(merged.job_count(), 0);
-        for wave in &wave_reports {
-            merged.absorb_serial(wave);
-        }
-        assert_eq!(merged.job_count(), 4);
-        let lat_sum: f64 = wave_reports.iter().map(|w| w.latency_ns).sum();
-        assert!((merged.latency_ns - lat_sum).abs() < 1e-9);
-        assert_eq!(
-            merged.bus_slots,
-            wave_reports.iter().map(|w| w.bus_slots).sum::<u64>()
-        );
-        assert_eq!(
-            merged.rank_acts,
-            wave_reports.iter().map(|w| w.rank_acts).sum::<u64>()
-        );
-        // Wave 2's jobs end after the wave-1 barrier.
-        assert!(merged.job_end_ns[0][1] > wave_reports[0].latency_ns);
-        assert!(
-            (merged.job_end_ns[0][1]
-                - (wave_reports[0].latency_ns + wave_reports[1].job_end_ns[0][0]))
-                .abs()
-                < 1e-9
-        );
-        // Shape mismatches are programming errors, caught loudly.
-        let skinny = QueueReport::empty(1, 1, 1);
-        let result = std::panic::catch_unwind(move || {
-            let mut merged = QueueReport::empty(2, 1, 1);
-            merged.absorb_serial(&skinny);
-        });
-        assert!(result.is_err());
     }
 
     /// Mixed forward / inverse / negacyclic-polymul queues with
@@ -1352,5 +1128,49 @@ mod tests {
             .load_in_bank(0, 512, &x, Q, StoredOrder::BitReversed)
             .unwrap();
         assert!(dev.ntt_batch(&mut [h1, h2]).is_err());
+    }
+
+    #[test]
+    fn batch_times_each_program_in_its_handles_bank() {
+        // 2 channels × 1 rank × 2 banks: banks {0, 2} sit on separate
+        // channels, banks {0, 1} share one command bus. The batch must be
+        // timed with each program in its handle's own bank.
+        let config = PimConfig::hbm2e(2).with_topology(crate::config::Topology::new(2, 1, 2));
+        let n = 256;
+        let batch_at = |banks: [usize; 2]| {
+            let mut dev = PimDevice::new(config).unwrap();
+            let mut handles: Vec<PolyHandle> = banks
+                .iter()
+                .map(|&b| {
+                    dev.load_in_bank(b, 0, &poly(n, b as u64), Q, StoredOrder::BitReversed)
+                        .unwrap()
+                })
+                .collect();
+            let mut queues: Vec<Vec<Program>> = vec![Vec::new(); config.total_banks()];
+            for h in &handles {
+                queues[h.bank()].push(dev.build_ntt_program(h, NttDirection::Forward).unwrap());
+            }
+            let expect = sched::schedule_queues(&config, &queues).unwrap();
+            let report = dev.ntt_batch(&mut handles).unwrap();
+            assert_eq!(
+                report.latency_ns.to_bits(),
+                expect.latency_ns().to_bits(),
+                "banks {banks:?}"
+            );
+            assert_eq!(report.bus_slots, expect.bus_slots, "banks {banks:?}");
+            report
+        };
+        let apart = batch_at([0, 2]);
+        let shared = batch_at([0, 1]);
+        let busy_channels =
+            |r: &QueueReport| r.per_channel_bus_slots.iter().filter(|&&s| s > 0).count();
+        assert_eq!(busy_channels(&apart), 2);
+        assert_eq!(busy_channels(&shared), 1);
+        assert!(
+            apart.latency_ns < shared.latency_ns,
+            "separate buses {} ns !< shared bus {} ns",
+            apart.latency_ns,
+            shared.latency_ns
+        );
     }
 }

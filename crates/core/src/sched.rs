@@ -14,18 +14,22 @@
 //! paper's software-pipelined order, and in-order issue with per-resource
 //! earliest times produces the overlapped timeline of Fig. 6.
 //!
-//! [`schedule_parallel`] runs one program per bank with a *shared* command
-//! bus (banks have private rows, buffers and CUs, but commands serialize on
-//! the bus) — the paper's bank-level parallelism model (§VI.A, §VII).
+//! [`schedule_queues`] is the paper's bank-level parallelism model (§VI.A,
+//! §VII) and the one multi-bank timing path: one program *sequence* per
+//! bank, with a *shared* command bus (banks have private rows, buffers and
+//! CUs, but commands serialize on the bus). Each bank drains its queue back
+//! to back and advances to its next program as soon as the previous one
+//! finishes, with no cross-bank barrier — only the shared command bus and
+//! the rank's tRRD/tFAW window couple the banks. [`schedule_queues_dag`]
+//! adds dependency barriers for split transforms. [`lpt_assign`] is the
+//! matching longest-processing-time bin-packing helper that builds
+//! balanced queues from per-job cost estimates.
 //!
-//! [`schedule_queues`] generalizes that to one program *sequence* per bank:
-//! each bank drains its queue back to back and advances to its next program
-//! as soon as the previous one finishes, with no cross-bank barrier — only
-//! the shared command bus and the rank's tRRD/tFAW window couple the banks.
-//! [`lpt_assign`] is the matching longest-processing-time bin-packing
-//! helper that builds balanced queues from per-job cost estimates.
+//! This module is the one place that composes the bank
+//! ([`BankTimer`]), rank ([`RankTimer`]) and bus
+//! ([`dram_sim::chip::CommandBus`], [`dram_sim::chip::FairBus`]) timers.
 //!
-//! Both multi-bank entry points are topology-aware: banks are indexed
+//! The multi-bank entry points are topology-aware: banks are indexed
 //! globally across the config's `channels × ranks × banks` device shape
 //! ([`crate::config::Topology`]), each channel gets its own command bus,
 //! and each rank its own tRRD/tFAW window — so two banks couple through a
@@ -39,6 +43,7 @@ use crate::config::PimConfig;
 use crate::mapper::Program;
 use crate::PimError;
 use dram_sim::bank::{BankCommand, BankCounters, BankTimer};
+use dram_sim::chip::{CommandBus, FairBus};
 use dram_sim::energy::{EnergyMeter, EnergyParams};
 use dram_sim::rank::RankTimer;
 use dram_sim::timing::ResolvedTiming;
@@ -94,19 +99,6 @@ impl PhaseSlice {
     }
 }
 
-/// A multi-bank schedule (one timeline per bank, shared command bus).
-#[derive(Debug, Clone)]
-pub struct ParallelTimeline {
-    /// Per-bank timelines.
-    pub banks: Vec<Timeline>,
-    /// Completion of the slowest bank, ps.
-    pub end_ps: u64,
-    /// Shared-bus slots issued across all banks (one per memory cycle).
-    pub bus_slots: u64,
-    /// Rank-level activation count (tRRD/tFAW-coupled, across banks).
-    pub rank_acts: u64,
-}
-
 /// A multi-bank queue schedule: one program *sequence* per bank, drained
 /// asynchronously over the shared command bus (see [`schedule_queues`]).
 #[derive(Debug, Clone)]
@@ -146,38 +138,6 @@ impl QueueTimeline {
     /// Latency of the slowest bank in nanoseconds.
     pub fn latency_ns(&self) -> f64 {
         self.end_ps as f64 / 1000.0
-    }
-}
-
-impl ParallelTimeline {
-    /// Latency of the slowest bank in nanoseconds.
-    pub fn latency_ns(&self) -> f64 {
-        self.end_ps as f64 / 1000.0
-    }
-
-    /// Shared command-bus utilization over the schedule's span.
-    pub fn bus_utilization(&self, cycle_ps: u64) -> f64 {
-        if self.end_ps == 0 {
-            return 0.0;
-        }
-        (self.bus_slots * cycle_ps) as f64 / self.end_ps as f64
-    }
-
-    /// Full cross-bank trace for independent validation.
-    pub fn bank_trace(&self) -> Vec<TraceEntry> {
-        let mut all: Vec<TraceEntry> = self
-            .banks
-            .iter()
-            .enumerate()
-            .flat_map(|(b, tl)| {
-                tl.bank_trace().into_iter().map(move |mut e| {
-                    e.bank = b as u32;
-                    e
-                })
-            })
-            .collect();
-        all.sort_by_key(|e| e.at_ps);
-        all
     }
 }
 
@@ -296,25 +256,15 @@ trait Bus {
     fn claim(&mut self, earliest_ps: u64) -> u64;
 }
 
-/// Strictly monotonic bus: slots are granted in increasing order (the
-/// single-stream in-order model).
-struct MonotonicBus {
-    cycle_ps: u64,
-    next_free: u64,
-}
-
-impl Bus for MonotonicBus {
+impl Bus for CommandBus {
     fn claim(&mut self, earliest_ps: u64) -> u64 {
-        let t = earliest_ps.max(self.next_free);
-        let slot = t.div_ceil(self.cycle_ps) * self.cycle_ps;
-        self.next_free = slot + self.cycle_ps;
-        slot
+        CommandBus::claim(self, earliest_ps)
     }
 }
 
-impl Bus for dram_sim::chip::FairBus {
+impl Bus for FairBus {
     fn claim(&mut self, earliest_ps: u64) -> u64 {
-        dram_sim::chip::FairBus::claim(self, earliest_ps)
+        FairBus::claim(self, earliest_ps)
     }
 }
 
@@ -677,38 +627,13 @@ impl<'a, S: EventSink> Engine<'a, S> {
 pub fn schedule(config: &PimConfig, program: &Program) -> Result<Timeline, PimError> {
     config.validate()?;
     let resolved = config.timing.resolve();
-    let mut bus = MonotonicBus {
-        cycle_ps: resolved.cycle_ps,
-        next_free: 0,
-    };
+    let mut bus = CommandBus::new(resolved.cycle_ps);
     let mut rank = RankTimer::new(&resolved);
     let mut engine = Engine::<Record>::new(config);
     for cmd in &program.commands {
         engine.issue(cmd, &mut bus, &mut rank)?;
     }
     Ok(engine.finish())
-}
-
-/// Schedules one program per bank over a shared command bus (bank-level
-/// parallelism). Banks round-robin for bus slots; each bank's stream stays
-/// in order.
-///
-/// # Errors
-///
-/// [`PimError::BadConfig`] when more programs than banks are supplied;
-/// otherwise as [`schedule`].
-pub fn schedule_parallel(
-    config: &PimConfig,
-    programs: &[Program],
-) -> Result<ParallelTimeline, PimError> {
-    let queues: Vec<Vec<DagJob>> = programs.iter().map(|p| vec![DagJob::plain(p)]).collect();
-    let qt = schedule_multi::<Record>(config, &queues)?;
-    Ok(ParallelTimeline {
-        banks: qt.banks,
-        end_ps: qt.end_ps,
-        bus_slots: qt.bus_slots,
-        rank_acts: qt.rank_acts,
-    })
 }
 
 /// Schedules one program *queue* per bank over the shared command bus.
@@ -840,7 +765,7 @@ pub(crate) fn schedule_queues_untraced(
     schedule_multi::<Discard>(config, queues)
 }
 
-/// Shared issue loop of [`schedule_parallel`], [`schedule_queues`] and
+/// Shared issue loop of [`schedule_queues`] and
 /// [`schedule_queues_dag`]: round-robin command interleave across banks,
 /// one stateful engine per bank, program-boundary completion times
 /// recorded per queue, barrier-tagged programs held until their
@@ -880,11 +805,11 @@ fn schedule_multi<S: EventSink>(
         }
     }
     let mut barrier_ps = vec![0u64; n_barriers];
-    // The fair (slot-bitmap) bus lives in dram-sim so chip-level models
-    // and this scheduler share one definition of "shared command bus";
-    // each channel gets its own.
-    let mut buses: Vec<dram_sim::chip::FairBus> = (0..topo.channels)
-        .map(|_| dram_sim::chip::FairBus::new(resolved.cycle_ps))
+    // The fair (slot-bitmap) bus lives in dram-sim next to the monotonic
+    // one, so both bus models have one definition; each channel gets its
+    // own.
+    let mut buses: Vec<FairBus> = (0..topo.channels)
+        .map(|_| FairBus::new(resolved.cycle_ps))
         .collect();
     // Banks of one rank share that rank's timer: tRRD/tFAW couple their
     // activations. Ranks are independent of each other.
@@ -1115,6 +1040,24 @@ mod tests {
         map_ntt(c, &layout, &NttParams { q: Q, omega }, &opts).unwrap()
     }
 
+    /// Every bank's DRAM-visible trace of a single-rank schedule, merged
+    /// in issue order with each entry tagged by its bank.
+    fn merged_trace(qt: &QueueTimeline) -> Vec<TraceEntry> {
+        let mut all: Vec<TraceEntry> = qt
+            .banks
+            .iter()
+            .enumerate()
+            .flat_map(|(b, tl)| {
+                tl.bank_trace().into_iter().map(move |mut e| {
+                    e.bank = b as u32;
+                    e
+                })
+            })
+            .collect();
+        all.sort_by_key(|e| e.at_ps);
+        all
+    }
+
     fn run(nb: usize, n: usize, opts: MapperOptions) -> (PimConfig, Timeline) {
         let c = PimConfig::hbm2e(nb);
         let prog = program(&c, n, opts);
@@ -1228,7 +1171,7 @@ mod tests {
         let c = PimConfig::hbm2e(2).with_banks(4);
         let prog = program(&c, 1024, MapperOptions::default());
         let single = schedule(&c, &prog).unwrap();
-        let four = schedule_parallel(&c, &vec![prog.clone(); 4]).unwrap();
+        let four = schedule_queues(&c, &vec![vec![prog.clone()]; 4]).unwrap();
         // 4 NTTs in 4 banks should take well under 2x one NTT's time.
         assert!(
             four.end_ps < 2 * single.end_ps,
@@ -1237,7 +1180,7 @@ mod tests {
             single.end_ps
         );
         // And the combined trace must be globally legal.
-        validate_trace(c.timing.resolve(), c.geometry, &four.bank_trace())
+        validate_trace(c.timing.resolve(), c.geometry, &merged_trace(&four))
             .unwrap_or_else(|(i, e)| panic!("entry {i}: {e}"));
     }
 
@@ -1359,13 +1302,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rejects_too_many_programs() {
-        let c = PimConfig::hbm2e(2); // 1 bank
-        let prog = program(&c, 256, MapperOptions::default());
-        assert!(schedule_parallel(&c, &vec![prog; 2]).is_err());
-    }
-
-    #[test]
     fn queues_drain_asynchronously_without_wave_barriers() {
         let c = PimConfig::hbm2e(2).with_banks(2);
         let small = program(&c, 256, MapperOptions::default());
@@ -1385,20 +1321,7 @@ mod tests {
         assert!(qt.banks[0].end_ps < qt.banks[1].end_ps);
         assert_eq!(qt.end_ps, qt.banks[1].end_ps);
         // And the combined trace stays protocol-legal.
-        let all: Vec<_> = qt
-            .banks
-            .iter()
-            .enumerate()
-            .flat_map(|(b, tl)| {
-                tl.bank_trace().into_iter().map(move |mut e| {
-                    e.bank = b as u32;
-                    e
-                })
-            })
-            .collect();
-        let mut sorted = all;
-        sorted.sort_by_key(|e| e.at_ps);
-        validate_trace(c.timing.resolve(), c.geometry, &sorted)
+        validate_trace(c.timing.resolve(), c.geometry, &merged_trace(&qt))
             .unwrap_or_else(|(i, e)| panic!("entry {i}: {e}"));
     }
 
@@ -1426,17 +1349,6 @@ mod tests {
         assert!(second_end < close.end_ps, "the case must be observable");
         assert_eq!(qt.job_end_ps[0][1], second_end);
         assert_eq!(qt.banks[0].end_ps, close.end_ps);
-    }
-
-    #[test]
-    fn queue_schedule_matches_parallel_for_single_program_queues() {
-        let c = PimConfig::hbm2e(2).with_banks(4);
-        let prog = program(&c, 512, MapperOptions::default());
-        let par = schedule_parallel(&c, &vec![prog.clone(); 4]).unwrap();
-        let qt = schedule_queues(&c, &vec![vec![prog]; 4]).unwrap();
-        assert_eq!(qt.end_ps, par.end_ps);
-        assert_eq!(qt.bus_slots, par.bus_slots);
-        assert_eq!(qt.rank_acts, par.rank_acts);
     }
 
     #[test]
@@ -1561,6 +1473,43 @@ mod tests {
         assert_eq!(qt.per_channel_bus_slots.len(), 4);
         assert!(qt.per_channel_bus_slots.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(qt.bus_slots, qt.per_channel_bus_slots.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn activation_windows_are_per_rank_and_the_bus_per_channel() {
+        // One ACT per bank, all ready at t=0. Banks of one rank pace at
+        // tRRD (5 cycles) and stall the fifth ACT to the tFAW window
+        // (20 cycles); banks of two ranks on one channel share only the
+        // bus, so their ACTs are one bus slot apart.
+        use crate::config::Topology;
+        let cycle = PimConfig::hbm2e(2).timing.resolve().cycle_ps;
+        let act = Program {
+            commands: vec![PimCommand::Act { row: 0 }],
+            final_base: 0,
+            c2_ops: 0,
+            c1_ops: 0,
+            marks: Vec::new(),
+        };
+        let act_slots = |topo: Topology| -> Vec<u64> {
+            let c = PimConfig::hbm2e(2).with_topology(topo);
+            let qt = schedule_queues(&c, &vec![vec![act.clone()]; topo.total_banks()]).unwrap();
+            qt.banks
+                .iter()
+                .map(|tl| tl.events[0].at_ps / cycle)
+                .collect()
+        };
+        assert_eq!(act_slots(Topology::new(1, 1, 2)), vec![0, 5]);
+        assert_eq!(act_slots(Topology::new(1, 2, 1)), vec![0, 1]);
+        assert_eq!(
+            act_slots(Topology::new(1, 1, 8)),
+            vec![0, 5, 10, 15, 20, 25, 30, 35]
+        );
+        // Two ranks of four: each rank sees four ACTs, so none waits for
+        // tFAW; rank 1 starts one bus slot behind rank 0.
+        assert_eq!(
+            act_slots(Topology::new(1, 2, 4)),
+            vec![0, 5, 10, 15, 1, 6, 11, 16]
+        );
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!   ([`bank::BankTimer`]),
 //! * functional storage ([`storage::BankStorage`]) so command streams can
 //!   be executed for *values*, not just times,
-//! * a shared command bus and multi-bank chip ([`chip`]) for bank-level
-//!   parallelism studies,
-//! * a multi-channel, multi-rank topology model ([`channel`]) — per-channel
-//!   command buses, per-rank tRRD/tFAW windows — for device-level scaling
-//!   studies beyond the paper's single chip, and
+//! * the rank-level tRRD/tFAW activation window ([`rank::RankTimer`]),
+//! * the shared command bus in its two models ([`chip`]): monotonic for
+//!   one command stream, fair for interleaved bank streams,
+//! * the multi-channel, multi-rank device shape ([`channel::Topology`])
+//!   for device-level scaling beyond the paper's single chip, and
 //! * per-command energy accounting ([`energy`]).
 //!
 //! A glossary of every modeled DRAM timing constraint, with the

@@ -13,8 +13,9 @@
 //! Storage is strictly per-bank: a multi-channel, multi-rank device
 //! ([`crate::channel::Topology`]) is simply
 //! `channels × ranks × banks` independent [`BankStorage`] values —
-//! values never cross the hierarchy, only timing couples it
-//! ([`crate::channel::Channel`]).
+//! values never cross the hierarchy, only timing couples it (one
+//! [`crate::chip::FairBus`] per channel, one [`crate::rank::RankTimer`]
+//! per rank).
 
 use crate::timing::Geometry;
 use crate::TimingError;

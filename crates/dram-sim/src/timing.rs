@@ -24,8 +24,7 @@
 //! ones in [`crate::rank::RankTimer`]. The command bus adds one more
 //! implicit constraint — one command per memory cycle per **channel** —
 //! modeled by [`crate::chip::FairBus`], of which a
-//! [`crate::channel::Topology`]-shaped device gets one per channel
-//! (see [`crate::channel::Channel`] for the standalone composition).
+//! [`crate::channel::Topology`]-shaped device gets one per channel.
 
 /// Raw timing parameters in memory-clock cycles, plus the clock they are
 /// specified at. This mirrors the paper's Table I exactly.
@@ -165,7 +164,7 @@ impl ResolvedTiming {
 /// atoms; 32 columns per 1 KB row; 32768 rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
-    /// Number of banks in the chip model.
+    /// Number of banks one trace may address (the validator's bank range).
     pub banks: u32,
     /// Rows per bank.
     pub rows_per_bank: u32,

@@ -20,8 +20,9 @@
 //! The `bank` column is a flat id. For a sharded device, callers write
 //! *global* bank ids and decode them with
 //! [`crate::channel::Topology::location`] — one trace per channel is the
-//! natural unit, since a channel's command bus is what serializes the
-//! commands a trace orders ([`crate::channel::Channel`]).
+//! natural unit, since a channel's command bus
+//! ([`crate::chip::FairBus`]) is what serializes the commands a trace
+//! orders.
 
 use crate::bank::BankCommand;
 use crate::validate::TraceEntry;

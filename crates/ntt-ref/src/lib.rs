@@ -37,8 +37,6 @@
 //!   comparisons.
 //! * [`cache`] — the shared, thread-safe `(n, q) → NttPlan` cache, so
 //!   concurrent workers build each twiddle/Shoup table set once.
-//! * [`radix4`] — mixed radix-4/2 DIT, the classic compute-bound
-//!   optimization the memory-bound PIM mapping deliberately skips.
 //! * [`naive`] — O(N²) evaluation, the ground truth.
 //! * [`poly`] — cyclic and negacyclic polynomial multiplication built on the
 //!   transforms, exercising the convolution theorem end to end.
@@ -81,5 +79,4 @@ pub mod naive;
 pub mod pease;
 pub mod plan;
 pub mod poly;
-pub mod radix4;
 pub mod stockham;

@@ -612,7 +612,6 @@ impl Worker {
             lanes: self.device.lanes(),
             latency_ns: outcome.latency_ns,
             energy_nj: outcome.energy_nj,
-            policy: outcome.policy,
             topology: outcome.topology,
             queue: outcome.queue_report.clone(),
         });

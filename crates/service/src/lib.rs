@@ -101,7 +101,7 @@ pub use stats::{percentile, DeviceStats, ServiceStats};
 use ntt_bus::NttBackend;
 use ntt_pim::core::config::{PimConfig, Topology};
 use ntt_pim::core::device::QueueReport;
-use ntt_pim::engine::batch::{NttJob, SchedulePolicy};
+use ntt_pim::engine::batch::NttJob;
 use ntt_pim::engine::EngineError;
 use ntt_ref::cache::PlanCache;
 use std::collections::HashMap;
@@ -172,8 +172,6 @@ impl std::error::Error for ServiceError {}
 pub struct ServiceConfig {
     /// The simulated PIM device micro-batches execute on.
     pub pim: PimConfig,
-    /// Batch scheduling policy (cost-model LPT by default).
-    pub policy: SchedulePolicy,
     /// Flush a micro-batch at this many requests. `0` (the default)
     /// means the device's parallel lane count (total banks), so full
     /// batches exactly fill the topology.
@@ -223,12 +221,11 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Defaults: `max_batch` = fleet lanes, 200 µs `max_wait`, 256-deep
-    /// queue, no tenant caps, LPT scheduling, verification off, one
-    /// device, zero steal threshold.
+    /// queue, no tenant caps, verification off, one device, zero steal
+    /// threshold.
     pub fn new(pim: PimConfig) -> Self {
         Self {
             pim,
-            policy: SchedulePolicy::default(),
             max_batch: 0,
             max_wait: Duration::from_micros(200),
             queue_depth: 256,
@@ -323,13 +320,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the batch scheduling policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Enables golden-model verification of every response.
     #[must_use]
     pub fn with_verify_golden(mut self, on: bool) -> Self {
@@ -365,8 +355,6 @@ pub struct BatchSummary {
     pub latency_ns: f64,
     /// Simulated batch energy, nJ.
     pub energy_nj: f64,
-    /// The policy that scheduled it.
-    pub policy: SchedulePolicy,
     /// The device topology it fanned across.
     pub topology: Topology,
     /// The merged device queue report (per-bank completion, per-channel
@@ -571,10 +559,7 @@ impl NttService {
         let mut backends: Vec<Box<dyn NttBackend>> = Vec::with_capacity(specs.len());
         let mut models = Vec::with_capacity(specs.len());
         for spec in &specs {
-            backends.push(
-                spec.build(config.policy, Some(&cache))
-                    .map_err(EngineError::from)?,
-            );
+            backends.push(spec.build(Some(&cache)).map_err(EngineError::from)?);
             models.push(spec.cost_model().map_err(EngineError::from)?);
         }
         let lanes = backends.iter().map(|b| b.lanes()).sum();

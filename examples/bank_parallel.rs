@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         })
         .collect();
     let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(16))?;
-    let out = exec.run_forward(&jobs)?;
+    let out = exec.run(&jobs)?;
     let ratio = out.latency_ns / single_ns;
     println!("\nBatchExecutor: 16 independent N={n} NTTs on 16 banks");
     println!("  single NTT      : {:>10.2} µs", single_ns / 1000.0);

@@ -8,23 +8,14 @@
 //! per-bank queues and drains the queues concurrently over the shared
 //! command bus.
 //!
-//! Two scheduling policies are available ([`SchedulePolicy`]):
-//!
-//! * [`SchedulePolicy::Lpt`] (default) — longest-processing-time
-//!   bin-packing: every job's latency is predicted from the device cost
-//!   model ([`DeviceCostModel`], memoized per transform length so a
-//!   thousand-job batch maps each distinct length once), jobs
-//!   are dealt to the least-loaded bank biggest-first, and the queues
-//!   drain *asynchronously* — each bank starts its next job the moment
-//!   the previous one finishes ([`crate::core::sched::schedule_queues`]).
-//!   Only the shared command bus and the rank's tRRD/tFAW window couple
-//!   the banks.
-//! * [`SchedulePolicy::RoundRobin`] — the legacy comparison point: jobs
-//!   dealt round-robin and drained in bank-parallel *waves* with a
-//!   full-chip barrier after each, so every wave pays for its slowest
-//!   bank. On mixed-size batches (the RNS workload the device's
-//!   modulus-agnostic design targets, §VI.E) this loses exactly the time
-//!   LPT recovers.
+//! Scheduling is longest-processing-time bin-packing: every job's
+//! latency is predicted from the device cost model ([`DeviceCostModel`],
+//! memoized per transform length so a thousand-job batch maps each
+//! distinct length once), jobs are dealt to the least-loaded bank
+//! biggest-first, and the queues drain *asynchronously* — each bank
+//! starts its next job the moment the previous one finishes
+//! ([`crate::core::sched::schedule_queues_dag`]). Only the shared command
+//! bus and the rank's tRRD/tFAW window couple the banks.
 //!
 //! Jobs may use different lengths, moduli, and kinds in one batch; the
 //! merged [`BatchOutcome`] reports wall-clock latency, energy, shared-bus
@@ -52,7 +43,6 @@ use crate::math::arith::pow_mod;
 use crate::math::prime;
 use crate::reference::four_step::{plan_split, SplitPlan};
 use std::collections::HashMap;
-use std::fmt;
 
 /// What a batched job computes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,8 +65,7 @@ pub enum JobKind {
     /// ([`crate::reference::four_step::plan_split`] picks the
     /// factorization). Bit-identical to [`JobKind::Forward`] on the same
     /// input; the point is latency — one huge transform no longer
-    /// serializes on a single bank. Requires [`SchedulePolicy::Lpt`]
-    /// (round-robin waves cannot express the stage dependency).
+    /// serializes on a single bank.
     SplitLarge,
 }
 
@@ -138,41 +127,6 @@ impl NttJob {
     /// Transform length.
     pub fn n(&self) -> usize {
         self.coeffs.len()
-    }
-}
-
-/// How [`BatchExecutor`] packs jobs onto bank queues and drains them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Cost-model-driven longest-processing-time bin-packing with
-    /// asynchronous per-bank queue drain (no cross-bank barrier).
-    #[default]
-    Lpt,
-    /// Round-robin dealing drained in bank-parallel waves with a
-    /// full-chip barrier per wave (the legacy comparison point).
-    RoundRobin,
-}
-
-impl fmt::Display for SchedulePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SchedulePolicy::Lpt => "lpt",
-            SchedulePolicy::RoundRobin => "round-robin",
-        })
-    }
-}
-
-impl std::str::FromStr for SchedulePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "lpt" => Ok(SchedulePolicy::Lpt),
-            "round-robin" | "rr" => Ok(SchedulePolicy::RoundRobin),
-            other => Err(format!(
-                "unknown schedule policy `{other}` (expected `lpt` or `round-robin`)"
-            )),
-        }
     }
 }
 
@@ -371,8 +325,6 @@ pub struct BatchPlan {
     /// Every schedulable unit of the batch, in job order with each split
     /// job expanded into its column units then its row units.
     pub units: Vec<PlanUnit>,
-    /// The policy that produced the assignment.
-    pub policy: SchedulePolicy,
 }
 
 /// Per-bank slice of a batch report.
@@ -394,15 +346,12 @@ pub struct BatchOutcome {
     /// spectrum for forward jobs, the time-domain polynomial for inverse
     /// jobs, the product for polymul jobs.
     pub spectra: Vec<Vec<u64>>,
-    /// End-to-end batch latency, ns. Under [`SchedulePolicy::Lpt`] this
-    /// is the completion of the slowest bank queue (banks drain
-    /// concurrently, no barrier); under [`SchedulePolicy::RoundRobin`] it
-    /// is the sum over waves of each wave's slowest bank.
+    /// End-to-end batch latency, ns: the completion of the slowest bank
+    /// queue (banks drain concurrently, no barrier).
     pub latency_ns: f64,
     /// Total energy across all banks, nJ.
     pub energy_nj: f64,
-    /// Depth of the schedule: barrier-separated waves under round-robin,
-    /// the deepest bank queue under LPT (where no barrier exists).
+    /// Depth of the schedule: the deepest bank queue.
     pub waves: usize,
     /// Command-bus slots issued across the whole batch (shared-bus
     /// pressure; one slot per memory-clock cycle).
@@ -417,8 +366,6 @@ pub struct BatchOutcome {
     pub per_channel_bus_slots: Vec<u64>,
     /// Per-bank accounting, indexed by global bank id.
     pub banks: Vec<BankUsage>,
-    /// The policy that scheduled the batch.
-    pub policy: SchedulePolicy,
     /// The job-index queues the batch actually ran (`assignment[b]` =
     /// bank `b`'s jobs, in order; a split job appears once per bank that
     /// ran any of its sub-jobs).
@@ -434,10 +381,8 @@ pub struct BatchOutcome {
     pub splits: Vec<SplitReport>,
     /// The full device-level queue report behind the summary fields above
     /// (per-bank completion/energy, per-job end times, per-channel bus
-    /// slots, per-rank ACTs). Under round-robin this is the
-    /// barrier-merged report across waves
-    /// ([`QueueReport::absorb_serial`]); under LPT it is the single async
-    /// drain. Serving-layer front-ends attach it to every response of a
+    /// slots, per-rank ACTs) of the batch's one async drain.
+    /// Serving-layer front-ends attach it to every response of a
     /// micro-batch.
     pub queue_report: QueueReport,
 }
@@ -474,8 +419,8 @@ impl BatchOutcome {
     }
 }
 
-/// Fans independent jobs across a PIM device's banks under a scheduling
-/// policy (cost-model-driven LPT by default).
+/// Fans independent jobs across a PIM device's banks by cost-model-driven
+/// LPT packing.
 ///
 /// ```
 /// use ntt_pim::core::config::PimConfig;
@@ -518,15 +463,13 @@ impl BatchOutcome {
 #[derive(Debug, Clone)]
 pub struct BatchExecutor {
     device: PimDevice,
-    policy: SchedulePolicy,
     /// Cost model mirroring the device (shared shape with the fleet
     /// router's per-device models).
     cost: DeviceCostModel,
 }
 
 impl BatchExecutor {
-    /// Builds an executor over a fresh device with `config`, using the
-    /// default [`SchedulePolicy::Lpt`].
+    /// Builds an executor over a fresh device with `config`.
     ///
     /// # Errors
     ///
@@ -538,34 +481,13 @@ impl BatchExecutor {
     /// Wraps an existing device (preserving its mapper options).
     pub fn from_device(device: PimDevice) -> Self {
         let cost = DeviceCostModel::with_options(*device.config(), *device.mapper_options());
-        Self {
-            device,
-            policy: SchedulePolicy::default(),
-            cost,
-        }
+        Self { device, cost }
     }
 
     /// The executor's device cost model (the same predictions the
     /// planner packs by).
     pub fn cost_model(&mut self) -> &mut DeviceCostModel {
         &mut self.cost
-    }
-
-    /// Same executor with a different scheduling policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Switches the scheduling policy in place.
-    pub fn set_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
-    /// The active scheduling policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
     }
 
     /// Number of banks jobs can fan across — total across the device's
@@ -606,19 +528,9 @@ impl BatchExecutor {
         Ok(())
     }
 
-    /// Predicted latency of `job` from the device cost model
-    /// ([`DeviceCostModel::job_cost`]).
-    fn job_cost(&mut self, job: &NttJob) -> f64 {
-        self.cost.job_cost(job)
-    }
-
-    /// Predicted single-transform latency at length `n`, memoized.
-    fn transform_cost(&mut self, n: usize) -> f64 {
-        self.cost.transform_cost(n)
-    }
-
-    /// Validates the batch and computes the per-bank job queues the
-    /// active policy would run, without executing anything.
+    /// Validates the batch and computes the per-bank unit queues it would
+    /// run, without executing anything. Unit costs come from
+    /// [`DeviceCostModel::unit_costs`].
     ///
     /// # Errors
     ///
@@ -626,49 +538,23 @@ impl BatchExecutor {
     pub fn plan(&mut self, jobs: &[NttJob]) -> Result<BatchPlan, EngineError> {
         self.validate(jobs)?;
         let banks = self.bank_count();
-        if self.policy == SchedulePolicy::RoundRobin
-            && jobs.iter().any(|j| j.kind == JobKind::SplitLarge)
-        {
-            return Err(EngineError::Shape {
-                reason: "split large jobs require the lpt policy \
-                         (round-robin waves cannot express the stage dependency)"
-                    .into(),
-            });
-        }
         // Expand jobs into schedulable units: ordinary jobs stay whole,
         // split jobs contribute one unit per column and per row sub-job.
         let mut units = Vec::with_capacity(jobs.len());
-        let mut costs = Vec::with_capacity(jobs.len());
         for (i, job) in jobs.iter().enumerate() {
             if job.kind == JobKind::SplitLarge {
                 let split = plan_split(job.n(), banks).expect("validated above");
-                let col_cost = self.transform_cost(split.rows);
-                let row_cost = self.transform_cost(split.cols) * ROW_STAGE_FACTOR;
-                for column in 0..split.cols {
-                    units.push(PlanUnit::SplitColumn { job: i, column });
-                    costs.push(col_cost);
-                }
-                for row in 0..split.rows {
-                    units.push(PlanUnit::SplitRow { job: i, row });
-                    costs.push(row_cost);
-                }
+                units
+                    .extend((0..split.cols).map(|column| PlanUnit::SplitColumn { job: i, column }));
+                units.extend((0..split.rows).map(|row| PlanUnit::SplitRow { job: i, row }));
             } else {
                 units.push(PlanUnit::Job(i));
-                costs.push(self.job_cost(job));
             }
         }
-        let mut queues = match self.policy {
-            // Hierarchical: channels first (private buses), then banks.
-            // Degenerates to flat LPT on a single-channel topology.
-            SchedulePolicy::Lpt => lpt_assign_topology(&costs, &self.topology()),
-            SchedulePolicy::RoundRobin => {
-                let mut queues: Vec<Vec<usize>> = vec![Vec::new(); banks];
-                for i in 0..units.len() {
-                    queues[i % banks].push(i);
-                }
-                queues
-            }
-        };
+        let costs = self.cost.unit_costs(jobs);
+        // Hierarchical: channels first (private buses), then banks.
+        // Degenerates to flat LPT on a single-channel topology.
+        let mut queues = lpt_assign_topology(&costs, &self.topology());
         // Barrier-gated row units go last in every bank queue: the bank
         // keeps draining ordinary jobs and column units while the stage
         // barrier is pending, instead of idling behind a gated head (and
@@ -680,14 +566,12 @@ impl BatchExecutor {
             queues,
             costs,
             units,
-            policy: self.policy,
         })
     }
 
     /// Loads one job into `bank`, maps its program, executes it
-    /// functionally, and reads the result back — the per-job work shared
-    /// by both drain strategies. Timing happens separately, over the
-    /// returned program.
+    /// functionally, and reads the result back. Timing happens
+    /// separately, over the returned program.
     fn run_one(&mut self, bank: usize, job: &NttJob) -> Result<(Program, Vec<u64>), EngineError> {
         let q = job.q as u32;
         let words: Vec<u32> = job.coeffs.iter().map(|&c| c as u32).collect();
@@ -779,7 +663,7 @@ impl BatchExecutor {
         Ok((program, out.into_iter().map(u64::from).collect()))
     }
 
-    /// Runs every job under the active policy and merges the reports.
+    /// Runs every job and merges the reports.
     ///
     /// The whole batch is validated up front (nothing executes when any
     /// job is malformed); results land in [`BatchOutcome::spectra`] in
@@ -801,176 +685,129 @@ impl BatchExecutor {
         }
         let depth = plan.queues.iter().map(Vec::len).max().unwrap_or(0);
 
-        let queue_report = match self.policy {
-            SchedulePolicy::Lpt => {
-                // Per split job: factorization, the parent root's powers,
-                // a dense barrier id, and the host-side twiddle matrix
-                // the column stage gathers into (the inter-stage
-                // transpose — host data movement, like every load).
-                struct SplitCtx {
-                    split: SplitPlan,
-                    omega: u64,
-                    col_root: u32,
-                    row_root: u32,
-                    barrier: usize,
-                    matrix: Vec<Vec<u64>>,
-                }
-                let mut ctxs: HashMap<usize, SplitCtx> = HashMap::new();
-                for (i, job) in jobs.iter().enumerate() {
-                    if job.kind == JobKind::SplitLarge {
-                        let split = plan_split(job.n(), banks).expect("validated");
-                        let omega = prime::root_of_unity(job.n() as u64, job.q)?;
-                        let barrier = ctxs.len();
-                        ctxs.insert(
-                            i,
-                            SplitCtx {
-                                split,
-                                omega,
-                                col_root: pow_mod(omega, split.cols as u64, job.q) as u32,
-                                row_root: pow_mod(omega, split.rows as u64, job.q) as u32,
-                                barrier,
-                                matrix: vec![vec![0u64; split.cols]; split.rows],
-                            },
-                        );
-                        spectra[i] = vec![0u64; job.n()];
-                    }
-                }
-                // Async drain, two functional passes. Pass A: ordinary
-                // jobs and column sub-jobs, in queue order (row units
-                // sort last in every queue, so program order still
-                // matches queue order).
-                // One scheduled program plus its DAG tags, per bank:
-                // `(program, waits_on, signals)`.
-                type TaggedProgram = (Program, Option<usize>, Option<usize>);
-                let mut programs: Vec<Vec<TaggedProgram>> = vec![Vec::new(); banks];
-                for (bank, queue) in plan.queues.iter().enumerate() {
-                    for &ui in queue {
-                        match plan.units[ui] {
-                            PlanUnit::Job(ji) => {
-                                let (program, out) = self.run_one(bank, &jobs[ji])?;
-                                spectra[ji] = out;
-                                programs[bank].push((program, None, None));
-                            }
-                            PlanUnit::SplitColumn { job: ji, column } => {
-                                let ctx = &ctxs[&ji];
-                                let (split, col_root, barrier) =
-                                    (ctx.split, ctx.col_root, ctx.barrier);
-                                let (program, out) = self
-                                    .run_column_unit(bank, &jobs[ji], &split, col_root, column)?;
-                                let ctx = ctxs.get_mut(&ji).expect("context exists");
-                                for (r, &v) in out.iter().enumerate() {
-                                    ctx.matrix[r][column] = v;
-                                }
-                                programs[bank].push((program, None, Some(barrier)));
-                            }
-                            PlanUnit::SplitRow { .. } => {} // pass B
-                        }
-                    }
-                }
-                // Pass B: row sub-jobs — each consumes one gathered
-                // matrix row, so it runs after every column drained.
-                for (bank, queue) in plan.queues.iter().enumerate() {
-                    for &ui in queue {
-                        if let PlanUnit::SplitRow { job: ji, row } = plan.units[ui] {
-                            let ctx = &ctxs[&ji];
-                            let (rows, row_root, barrier, q) =
-                                (ctx.split.rows, ctx.row_root, ctx.barrier, jobs[ji].q);
-                            let tw = pow_mod(ctx.omega, row as u64, q) as u32;
-                            let row_vec = ctx.matrix[row].clone();
-                            let (program, out) =
-                                self.run_row_unit(bank, q, &row_vec, row_root, tw)?;
-                            // Step 4 transpose: out[k₂·rows + k₁] = Y_{k₁}[k₂].
-                            for (c, &v) in out.iter().enumerate() {
-                                spectra[ji][c * rows + row] = v;
-                            }
-                            programs[bank].push((program, Some(barrier), None));
-                        }
-                    }
-                }
-                let dag: Vec<Vec<DagJob<'_>>> = programs
-                    .iter()
-                    .map(|queue| {
-                        queue
-                            .iter()
-                            .map(|(program, waits_on, signals)| DagJob {
-                                program,
-                                waits_on: *waits_on,
-                                signals: *signals,
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let report = self.device.schedule_queues_dag(&dag)?;
-                let mut split_end: HashMap<usize, f64> = HashMap::new();
-                for (bank, ends) in report.job_end_ns.iter().enumerate() {
-                    let mut prev = 0.0;
-                    for (slot, &end) in ends.iter().enumerate() {
-                        match plan.units[plan.queues[bank][slot]] {
-                            PlanUnit::Job(ji) => job_latency_ns[ji] = end - prev,
-                            PlanUnit::SplitColumn { job: ji, .. }
-                            | PlanUnit::SplitRow { job: ji, .. } => {
-                                let e = split_end.entry(ji).or_insert(0.0);
-                                *e = e.max(end);
-                            }
-                        }
-                        prev = end;
-                    }
-                }
-                let mut tagged: Vec<(usize, &SplitCtx)> =
-                    ctxs.iter().map(|(&ji, ctx)| (ji, ctx)).collect();
-                tagged.sort_by_key(|&(ji, _)| ji);
-                for (ji, ctx) in tagged {
-                    let end = split_end.get(&ji).copied().unwrap_or(0.0);
-                    job_latency_ns[ji] = end;
-                    splits.push(SplitReport {
-                        job: ji,
-                        rows: ctx.split.rows,
-                        cols: ctx.split.cols,
-                        column_stage_ns: report.barrier_ns[ctx.barrier],
-                        latency_ns: end,
-                    });
-                }
-                report
-            }
-            SchedulePolicy::RoundRobin => {
-                // Wave drain: queue position w across all banks forms wave
-                // w; a full-chip barrier separates waves, so each wave is
-                // timed alone and the batch pays the sum of wave maxima.
-                // The per-wave reports merge into one batch-level report
-                // with the barrier semantics of `absorb_serial`. Split
-                // jobs never reach this branch (`plan` rejects them).
-                let topology = self.topology();
-                let mut merged = QueueReport::empty(
-                    banks,
-                    topology.channels as usize,
-                    (topology.channels * topology.ranks) as usize,
+        // Per split job: factorization, the parent root's powers,
+        // a dense barrier id, and the host-side twiddle matrix
+        // the column stage gathers into (the inter-stage
+        // transpose — host data movement, like every load).
+        struct SplitCtx {
+            split: SplitPlan,
+            omega: u64,
+            col_root: u32,
+            row_root: u32,
+            barrier: usize,
+            matrix: Vec<Vec<u64>>,
+        }
+        let mut ctxs: HashMap<usize, SplitCtx> = HashMap::new();
+        for (i, job) in jobs.iter().enumerate() {
+            if job.kind == JobKind::SplitLarge {
+                let split = plan_split(job.n(), banks).expect("validated");
+                let omega = prime::root_of_unity(job.n() as u64, job.q)?;
+                let barrier = ctxs.len();
+                ctxs.insert(
+                    i,
+                    SplitCtx {
+                        split,
+                        omega,
+                        col_root: pow_mod(omega, split.cols as u64, job.q) as u32,
+                        row_root: pow_mod(omega, split.rows as u64, job.q) as u32,
+                        barrier,
+                        matrix: vec![vec![0u64; split.cols]; split.rows],
+                    },
                 );
-                for w in 0..depth {
-                    let mut wave_programs: Vec<Vec<Program>> = vec![Vec::new(); banks];
-                    let wave_jobs: Vec<(usize, usize)> = plan
-                        .queues
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(bank, queue)| {
-                            queue.get(w).map(|&ui| (bank, plan.units[ui].job()))
-                        })
-                        .collect();
-                    for &(bank, ji) in &wave_jobs {
+                spectra[i] = vec![0u64; job.n()];
+            }
+        }
+        // Async drain, two functional passes. Pass A: ordinary
+        // jobs and column sub-jobs, in queue order (row units
+        // sort last in every queue, so program order still
+        // matches queue order).
+        // One scheduled program plus its DAG tags, per bank:
+        // `(program, waits_on, signals)`.
+        type TaggedProgram = (Program, Option<usize>, Option<usize>);
+        let mut programs: Vec<Vec<TaggedProgram>> = vec![Vec::new(); banks];
+        for (bank, queue) in plan.queues.iter().enumerate() {
+            for &ui in queue {
+                match plan.units[ui] {
+                    PlanUnit::Job(ji) => {
                         let (program, out) = self.run_one(bank, &jobs[ji])?;
                         spectra[ji] = out;
-                        wave_programs[bank].push(program);
+                        programs[bank].push((program, None, None));
                     }
-                    let report = self.device.schedule_queues(&wave_programs)?;
-                    for (bank, ends) in report.job_end_ns.iter().enumerate() {
-                        if let Some(&end) = ends.first() {
-                            job_latency_ns[plan.units[plan.queues[bank][w]].job()] = end;
+                    PlanUnit::SplitColumn { job: ji, column } => {
+                        let ctx = &ctxs[&ji];
+                        let (split, col_root, barrier) = (ctx.split, ctx.col_root, ctx.barrier);
+                        let (program, out) =
+                            self.run_column_unit(bank, &jobs[ji], &split, col_root, column)?;
+                        let ctx = ctxs.get_mut(&ji).expect("context exists");
+                        for (r, &v) in out.iter().enumerate() {
+                            ctx.matrix[r][column] = v;
                         }
+                        programs[bank].push((program, None, Some(barrier)));
                     }
-                    merged.absorb_serial(&report);
+                    PlanUnit::SplitRow { .. } => {} // pass B
                 }
-                merged
             }
-        };
+        }
+        // Pass B: row sub-jobs — each consumes one gathered
+        // matrix row, so it runs after every column drained.
+        for (bank, queue) in plan.queues.iter().enumerate() {
+            for &ui in queue {
+                if let PlanUnit::SplitRow { job: ji, row } = plan.units[ui] {
+                    let ctx = &ctxs[&ji];
+                    let (rows, row_root, barrier, q) =
+                        (ctx.split.rows, ctx.row_root, ctx.barrier, jobs[ji].q);
+                    let tw = pow_mod(ctx.omega, row as u64, q) as u32;
+                    let row_vec = ctx.matrix[row].clone();
+                    let (program, out) = self.run_row_unit(bank, q, &row_vec, row_root, tw)?;
+                    // Step 4 transpose: out[k₂·rows + k₁] = Y_{k₁}[k₂].
+                    for (c, &v) in out.iter().enumerate() {
+                        spectra[ji][c * rows + row] = v;
+                    }
+                    programs[bank].push((program, Some(barrier), None));
+                }
+            }
+        }
+        let dag: Vec<Vec<DagJob<'_>>> = programs
+            .iter()
+            .map(|queue| {
+                queue
+                    .iter()
+                    .map(|(program, waits_on, signals)| DagJob {
+                        program,
+                        waits_on: *waits_on,
+                        signals: *signals,
+                    })
+                    .collect()
+            })
+            .collect();
+        let queue_report = self.device.schedule_queues_dag(&dag)?;
+        let mut split_end: HashMap<usize, f64> = HashMap::new();
+        for (bank, ends) in queue_report.job_end_ns.iter().enumerate() {
+            let mut prev = 0.0;
+            for (slot, &end) in ends.iter().enumerate() {
+                match plan.units[plan.queues[bank][slot]] {
+                    PlanUnit::Job(ji) => job_latency_ns[ji] = end - prev,
+                    PlanUnit::SplitColumn { job: ji, .. } | PlanUnit::SplitRow { job: ji, .. } => {
+                        let e = split_end.entry(ji).or_insert(0.0);
+                        *e = e.max(end);
+                    }
+                }
+                prev = end;
+            }
+        }
+        let mut tagged: Vec<(usize, &SplitCtx)> = ctxs.iter().map(|(&ji, ctx)| (ji, ctx)).collect();
+        tagged.sort_by_key(|&(ji, _)| ji);
+        for (ji, ctx) in tagged {
+            let end = split_end.get(&ji).copied().unwrap_or(0.0);
+            job_latency_ns[ji] = end;
+            splits.push(SplitReport {
+                job: ji,
+                rows: ctx.split.rows,
+                cols: ctx.split.cols,
+                column_stage_ns: queue_report.barrier_ns[ctx.barrier],
+                latency_ns: end,
+            });
+        }
         for (bank, usage) in usage.iter_mut().enumerate() {
             usage.busy_ns = queue_report.per_bank_ns[bank];
             usage.energy_nj = queue_report.per_bank_energy_nj[bank];
@@ -1003,22 +840,11 @@ impl BatchExecutor {
             topology: self.topology(),
             per_channel_bus_slots: queue_report.per_channel_bus_slots.clone(),
             banks: usage,
-            policy: self.policy,
             assignment,
             job_latency_ns,
             splits,
             queue_report,
         })
-    }
-
-    /// Back-compatible alias of [`Self::run`] from when the executor only
-    /// handled forward NTTs. Accepts any job kinds.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
-    pub fn run_forward(&mut self, jobs: &[NttJob]) -> Result<BatchOutcome, EngineError> {
-        self.run(jobs)
     }
 }
 
@@ -1325,19 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn split_requires_lpt_policy() {
-        let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(4))
-            .unwrap()
-            .with_policy(SchedulePolicy::RoundRobin);
-        let jobs = vec![NttJob::split_large(poly(1024, Q, 3), Q)];
-        let err = exec.run(&jobs).unwrap_err();
-        assert!(
-            matches!(&err, EngineError::Shape { reason } if reason.contains("lpt")),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn split_validation_reports_bad_lengths() {
         let config = PimConfig::hbm2e(2).with_banks(4);
         // Not a power of two: caught by the generic length check.
@@ -1525,42 +1338,10 @@ mod tests {
     }
 
     #[test]
-    fn lpt_packs_skewed_batches_tighter_than_round_robin() {
-        // 8 jobs, alternating small/large: round-robin waves pay the
-        // large latency every wave; LPT isolates the large jobs.
-        let q = 8380417u64; // 2^13 | q-1: supports N up to 4096
-        let jobs: Vec<NttJob> = (0..8)
-            .map(|i| {
-                let n = if i % 2 == 0 { 256 } else { 2048 };
-                NttJob::new(poly(n, q, 500 + i as u64), q)
-            })
-            .collect();
-        let config = PimConfig::hbm2e(2).with_banks(4);
-        let mut rr = BatchExecutor::new(config)
-            .unwrap()
-            .with_policy(SchedulePolicy::RoundRobin);
-        let mut lpt = BatchExecutor::new(config).unwrap();
-        assert_eq!(lpt.policy(), SchedulePolicy::Lpt);
-        let out_rr = rr.run(&jobs).unwrap();
-        let out_lpt = lpt.run(&jobs).unwrap();
-        assert_eq!(
-            out_rr.spectra, out_lpt.spectra,
-            "results policy-independent"
-        );
-        assert!(
-            out_lpt.latency_ns < out_rr.latency_ns,
-            "LPT {:.0} ns !< round-robin {:.0} ns",
-            out_lpt.latency_ns,
-            out_rr.latency_ns
-        );
-    }
-
-    #[test]
-    fn plan_exposes_costs_and_respects_policy() {
+    fn plan_costs_are_the_cost_models_unit_costs() {
         let mut exec = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(2)).unwrap();
         let jobs = vec![job(256, 1), job(1024, 2), job(256, 3)];
         let plan = exec.plan(&jobs).unwrap();
-        assert_eq!(plan.policy, SchedulePolicy::Lpt);
         assert_eq!(plan.costs.len(), 3);
         assert!(plan.costs[1] > plan.costs[0], "bigger job costs more");
         // The N=1024 job runs alone; the two N=256 jobs share a bank.
@@ -1569,6 +1350,19 @@ mod tests {
         assert_eq!(plan.queues[1 - big_bank].len(), 2);
         // Cost memo: same lengths resolve without re-running the mapper.
         assert_eq!(plan.costs[0], plan.costs[2]);
+        // On a batch with a split job and a polymul job, the plan prices
+        // every unit exactly as the executor's cost model does.
+        let mut exec = BatchExecutor::new(PimConfig::hbm2e(4).with_banks(4)).unwrap();
+        let jobs = vec![
+            job(256, 4),
+            NttJob::split_large(poly(1024, Q, 5), Q),
+            NttJob::negacyclic_polymul(poly(256, Q, 6), poly(256, Q, 7), Q),
+        ];
+        let plan = exec.plan(&jobs).unwrap();
+        assert_eq!(plan.units.len(), 1 + 32 + 32 + 1);
+        let bits = |costs: &[f64]| costs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let expect = exec.cost_model().unit_costs(&jobs);
+        assert_eq!(bits(&plan.costs), bits(&expect));
     }
 
     #[test]
@@ -1587,37 +1381,24 @@ mod tests {
         // with the same total bank count computes identical spectra.
         let mut flat = BatchExecutor::new(PimConfig::hbm2e(2).with_banks(8)).unwrap();
         assert_eq!(out.spectra, flat.run(&jobs).unwrap().spectra);
-        // Round-robin on the sharded device reports per-channel slots too.
-        let mut rr = BatchExecutor::new(config)
-            .unwrap()
-            .with_policy(SchedulePolicy::RoundRobin);
-        let rr_out = rr.run(&jobs).unwrap();
-        assert_eq!(rr_out.spectra, out.spectra);
-        assert_eq!(rr_out.per_channel_bus_slots.len(), 2);
-        assert_eq!(
-            rr_out.per_channel_bus_slots.iter().sum::<u64>(),
-            rr_out.bus_slots
-        );
     }
 
     #[test]
-    fn queue_report_backs_the_summary_under_both_policies() {
+    fn queue_report_backs_the_summary() {
         let config = PimConfig::hbm2e(2).with_topology(Topology::new(2, 1, 2));
         let jobs: Vec<NttJob> = (0..6).map(|i| job(256, 700 + i)).collect();
-        for policy in [SchedulePolicy::Lpt, SchedulePolicy::RoundRobin] {
-            let mut exec = BatchExecutor::new(config).unwrap().with_policy(policy);
-            let out = exec.run(&jobs).unwrap();
-            let qr = &out.queue_report;
-            assert_eq!(qr.latency_ns, out.latency_ns, "{policy}");
-            assert_eq!(qr.bus_slots, out.bus_slots, "{policy}");
-            assert_eq!(qr.rank_acts, out.rank_acts, "{policy}");
-            assert_eq!(qr.per_channel_bus_slots, out.per_channel_bus_slots);
-            assert_eq!(qr.job_count(), jobs.len(), "{policy}");
-            assert_eq!(qr.per_rank_acts.iter().sum::<u64>(), out.rank_acts);
-            for (bank, u) in out.banks.iter().enumerate() {
-                assert_eq!(u.busy_ns, qr.per_bank_ns[bank], "{policy} bank {bank}");
-                assert_eq!(u.energy_nj, qr.per_bank_energy_nj[bank]);
-            }
+        let mut exec = BatchExecutor::new(config).unwrap();
+        let out = exec.run(&jobs).unwrap();
+        let qr = &out.queue_report;
+        assert_eq!(qr.latency_ns, out.latency_ns);
+        assert_eq!(qr.bus_slots, out.bus_slots);
+        assert_eq!(qr.rank_acts, out.rank_acts);
+        assert_eq!(qr.per_channel_bus_slots, out.per_channel_bus_slots);
+        assert_eq!(qr.job_count(), jobs.len());
+        assert_eq!(qr.per_rank_acts.iter().sum::<u64>(), out.rank_acts);
+        for (bank, u) in out.banks.iter().enumerate() {
+            assert_eq!(u.busy_ns, qr.per_bank_ns[bank], "bank {bank}");
+            assert_eq!(u.energy_nj, qr.per_bank_energy_nj[bank]);
         }
     }
 
