@@ -1,13 +1,17 @@
 //! The serving datapath: one **router** thread turning the request
 //! stream into dense micro-batches and placing them across the fleet,
-//! plus one **worker** thread per device executing its queue.
+//! plus one **worker** thread per device executing its queue. No thread
+//! polls: each blocks on a condvar and is woken by the event it waits
+//! for, so an idle service makes no wakeups at all.
 //!
 //! Lifecycle of one micro-batch:
 //!
-//! 1. **Open / fill** (router) — block until a first request arrives,
-//!    then keep collecting until the batch holds `max_batch` requests
-//!    (the fleet's total lane count by default) or the oldest has waited
-//!    `max_wait`. Shutdown closes the window early — nothing admitted is
+//! 1. **Open / fill** (router) — block until a first request is
+//!    enqueued (or shutdown begins), then keep collecting until the
+//!    batch holds `max_batch` requests (the fleet's total lane count by
+//!    default) or the oldest has waited `max_wait`: the router sleeps
+//!    exactly until that deadline, cut short only by a new request or
+//!    shutdown. Shutdown closes the window early — nothing admitted is
 //!    ever dropped.
 //! 2. **Route** (router) — hand the batch to [`FleetRouter::route`]:
 //!    argmin over per-device predicted drain time, split across devices
@@ -15,16 +19,20 @@
 //!    no device can serve are rejected here on their own ticket
 //!    (malformed ⇒ [`ServiceError::Invalid`]; valid but the fleet has no
 //!    healthy device for them ⇒ [`ServiceError::Exec`]).
-//! 3. **Execute** (worker) — each backend's worker pops its queue,
-//!    runs the group through its [`FailingDevice`]-wrapped
+//! 3. **Execute** (worker) — queuing a group wakes its device's worker,
+//!    which runs it through its [`FailingDevice`]-wrapped
 //!    [`NttBackend`] (a PIM device, the CPU's lane-batched kernels, or
 //!    a published model — the bus makes them interchangeable),
 //!    optionally re-checks results against the golden CPU model in one
-//!    lane-batched sweep, and answers each ticket. An idle worker
+//!    lane-batched sweep, and answers each ticket. A backend panic is
+//!    caught and handled as a failed execution (step 4). Idle peers are
+//!    woken only when a group lands on a device that is busy executing
+//!    (or one pops work with more queued behind it); a woken worker
 //!    **steals** from the most backed-up peer once that peer's predicted
 //!    backlog exceeds its own by the steal threshold
 //!    ([`fleet::pick_steal_victim`]), re-pricing the stolen group on its
-//!    own cost model — provided its backend admits every stolen job.
+//!    own cost model — provided its backend admits every stolen job. A
+//!    group placed on an idle device is therefore run by that device.
 //! 4. **Fail over** (worker) — a failed execution retires the backend
 //!    ([`FleetRouter::mark_unhealthy`]), re-routes the failed group and
 //!    everything still queued on it onto healthy peers, and only
@@ -32,30 +40,31 @@
 //!    remains (or the group has already bounced off every backend).
 //!    Tickets always resolve — result or error, never a hang.
 //! 5. **Re-admission** (worker) — unless disabled, a retired backend's
-//!    idle worker periodically claims the router's probe slot
-//!    ([`FleetRouter::request_probe`]), runs one probe job through the
-//!    same fault-injected path real batches take, and on success
-//!    rejoins the placement set with an empty backlog
-//!    ([`FleetRouter::readmit`]); a failed probe doubles the backoff
-//!    and retires the backend again.
+//!    idle worker parks with a timeout until its next probe is due,
+//!    claims the router's probe slot ([`FleetRouter::request_probe`]),
+//!    runs one probe job through the same fault-injected path real
+//!    batches take, and on success rejoins the placement set with an
+//!    empty backlog ([`FleetRouter::readmit`]); a failed probe doubles
+//!    the wait (1 ms first, capped at 1,024 ms) and retires the backend
+//!    again. Healthy workers never wait with a timeout.
 
 use crate::fault::{FailingDevice, FaultSwitch};
 use crate::fleet::{self, FleetRouter};
 use crate::stats::StatsInner;
-use crate::{BatchSummary, Pending, Response, ServiceError, Shared};
+use crate::{lock, wait_until, BatchSummary, Pending, Response, ServiceError, Shared};
 use ntt_bus::{BackendOutcome, NttBackend};
 use ntt_pim::engine::batch::{self, JobKind, NttJob};
 use ntt_pim::engine::{CpuNttEngine, NttEngine};
 use ntt_ref::cache::PlanCache;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Poll granularity: how often the collect/worker loops re-check their
-/// exit conditions while idle. Bounds shutdown latency without burning
-/// CPU (idle service ≈ 1k wakeups/s per thread).
-const POLL: Duration = Duration::from_millis(1);
+/// First re-admission probe backoff; doubles on every failed probe.
+const PROBE_BASE: Duration = Duration::from_millis(1);
+/// Cap on the re-admission probe backoff.
+const PROBE_CAP: Duration = Duration::from_millis(1024);
 
 /// One placed group of requests riding to (or between) workers.
 pub(crate) struct RoutedBatch {
@@ -71,14 +80,46 @@ pub(crate) struct RoutedBatch {
     pub(crate) attempts: usize,
 }
 
+/// What one device's worker waits on. Every field a parked worker's
+/// wake condition reads lives under the one mutex it waits with, so a
+/// wakeup cannot slip in between its check and its wait.
+#[derive(Default)]
+struct QueueState {
+    /// Groups routed here (by the router or by failover), oldest first.
+    batches: VecDeque<RoutedBatch>,
+    /// The worker holds a group it has not answered yet.
+    executing: bool,
+    /// A busy peer's queue grew: look for work to steal before parking.
+    steal_hint: bool,
+    /// Shutdown: the worker exits once `batches` is empty.
+    done: bool,
+}
+
+/// One device's work queue and the condvar its idle worker parks on.
+#[derive(Default)]
+pub(crate) struct DeviceQueue {
+    state: Mutex<QueueState>,
+    wake: Condvar,
+}
+
+impl DeviceQueue {
+    /// Appends a group and wakes the owner. Returns whether the owner
+    /// was executing at the time — only then may a peer help out.
+    fn put(&self, batch: RoutedBatch) -> bool {
+        let mut state = lock(&self.state);
+        state.batches.push_back(batch);
+        let executing = state.executing;
+        drop(state);
+        self.wake.notify_one();
+        executing
+    }
+}
+
 /// State shared by the router thread and every worker.
 pub(crate) struct FleetState {
     pub(crate) router: Mutex<FleetRouter>,
     /// Per-device work queues, fed by the router (and by failover).
-    pub(crate) queues: Vec<Mutex<VecDeque<RoutedBatch>>>,
-    /// Set by the service owner after the router thread has drained and
-    /// joined: workers exit once this is up and their queue is empty.
-    pub(crate) done: AtomicBool,
+    pub(crate) queues: Vec<DeviceQueue>,
     /// Whether idle workers steal from backed-up peers.
     pub(crate) work_stealing: bool,
     /// Whether retired backends may probe their way back into the
@@ -91,8 +132,7 @@ impl FleetState {
         let devices = router.device_count();
         Self {
             router: Mutex::new(router),
-            queues: (0..devices).map(|_| Mutex::new(VecDeque::new())).collect(),
-            done: AtomicBool::new(false),
+            queues: (0..devices).map(|_| DeviceQueue::default()).collect(),
             work_stealing,
             readmission,
         }
@@ -107,15 +147,42 @@ impl FleetState {
     fn queue_lens(&self) -> Vec<usize> {
         self.queues
             .iter()
-            .map(|q| q.lock().expect("queue poisoned").len())
+            .map(|q| lock(&q.state).batches.len())
             .collect()
     }
 
+    /// Queues a group on `device`. Its owner is woken first; idle peers
+    /// are woken to steal only when the owner is busy executing, so a
+    /// group placed on an idle device is run by the device it was
+    /// routed to.
     fn push(&self, device: usize, batch: RoutedBatch) {
-        self.queues[device]
-            .lock()
-            .expect("queue poisoned")
-            .push_back(batch);
+        if self.queues[device].put(batch) && self.work_stealing {
+            self.wake_idle_peers(device);
+        }
+    }
+
+    /// Nudges every idle worker but `device`'s to look for work to
+    /// steal. Busy workers need no nudge: they look before parking.
+    fn wake_idle_peers(&self, device: usize) {
+        for (peer, queue) in self.queues.iter().enumerate() {
+            if peer == device {
+                continue;
+            }
+            let mut state = lock(&queue.state);
+            if !state.executing {
+                state.steal_hint = true;
+                drop(state);
+                queue.wake.notify_one();
+            }
+        }
+    }
+
+    /// Tells every worker to exit once its queue is empty.
+    pub(crate) fn shut_down(&self) {
+        for queue in &self.queues {
+            lock(&queue.state).done = true;
+            queue.wake.notify_one();
+        }
     }
 }
 
@@ -130,12 +197,11 @@ fn respond(shared: &Shared, pending: Pending, result: Result<Response, ServiceEr
 }
 
 fn stat(shared: &Shared, update: impl FnOnce(&mut StatsInner)) {
-    update(&mut shared.stats.lock().expect("stats poisoned"));
+    update(&mut lock(&shared.stats));
 }
 
 /// The front-end thread: collects micro-batches and places them.
 pub(crate) struct Router {
-    rx: mpsc::Receiver<Pending>,
     shared: Arc<Shared>,
     fleet: Arc<FleetState>,
     max_batch: usize,
@@ -144,14 +210,12 @@ pub(crate) struct Router {
 
 impl Router {
     pub(crate) fn new(
-        rx: mpsc::Receiver<Pending>,
         shared: Arc<Shared>,
         fleet: Arc<FleetState>,
         max_batch: usize,
         max_wait: Duration,
     ) -> Self {
         Self {
-            rx,
             shared,
             fleet,
             max_batch,
@@ -168,47 +232,33 @@ impl Router {
     /// Collects the next micro-batch: `None` only when shutting down
     /// with nothing left to serve.
     fn collect(&mut self) -> Option<Vec<Pending>> {
-        // Phase 1: wait for the batch opener.
+        let shared = &*self.shared;
+        let mut intake = lock(&shared.intake);
+        // Phase 1: block until the batch opener arrives. A closing
+        // service serves its backlog to the last request: submission
+        // admits and enqueues under this same lock, so an empty queue
+        // with a fully released depth proves nothing is in flight —
+        // including groups a worker may still re-route on failover.
         let opener = loop {
-            if self.shared.closing.load(Ordering::Acquire) {
-                // Serve the backlog to the last request. An empty channel
-                // is not enough to exit: a submitter that passed the
-                // closing check may still be between its admission
-                // (depth increment) and its channel send — exiting then
-                // would drop an admitted request. Only a fully released
-                // depth proves nothing is in flight; otherwise fall
-                // through to the timed recv to pick the straggler up.
-                match self.rx.try_recv() {
-                    Ok(pending) => break pending,
-                    Err(mpsc::TryRecvError::Disconnected) => return None,
-                    Err(mpsc::TryRecvError::Empty) => {
-                        if self.shared.depth.load(Ordering::Acquire) == 0 {
-                            return None;
-                        }
-                    }
-                }
+            if let Some(pending) = intake.queue.pop_front() {
+                break pending;
             }
-            match self.rx.recv_timeout(POLL) {
-                Ok(pending) => break pending,
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+            if intake.closing && intake.depth == 0 {
+                return None;
             }
+            stat(shared, |s| s.wakeups += 1);
+            intake = wait_until(&shared.intake_ready, intake, None);
         };
         // Phase 2: fill until full, deadline, or shutdown.
         let deadline = Instant::now() + self.max_wait;
         let mut batch = vec![opener];
         while batch.len() < self.max_batch {
-            if self.shared.closing.load(Ordering::Acquire) {
+            if let Some(pending) = intake.queue.pop_front() {
+                batch.push(pending);
+            } else if intake.closing || Instant::now() >= deadline {
                 break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.rx.recv_timeout((deadline - now).min(POLL)) {
-                Ok(pending) => batch.push(pending),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            } else {
+                intake = wait_until(&shared.intake_ready, intake, Some(deadline));
             }
         }
         Some(batch)
@@ -223,12 +273,7 @@ impl Router {
             jobs.push(std::mem::replace(&mut p.job, NttJob::new(Vec::new(), 0)));
             pending.push(Some(p));
         }
-        let routing = self
-            .fleet
-            .router
-            .lock()
-            .expect("router poisoned")
-            .route(&jobs);
+        let routing = lock(&self.fleet.router).route(&jobs);
         let mut jobs: Vec<Option<NttJob>> = jobs.into_iter().map(Some).collect();
         for &j in &routing.unroutable {
             let job = jobs[j].take().expect("unroutable job routed twice");
@@ -239,27 +284,7 @@ impl Router {
             }
             respond(&self.shared, p, Err(error));
         }
-        for placement in routing.placements {
-            let group_pending: Vec<Pending> = placement
-                .jobs
-                .iter()
-                .map(|&j| pending[j].take().expect("job placed twice"))
-                .collect();
-            let group_jobs: Vec<NttJob> = placement
-                .jobs
-                .iter()
-                .map(|&j| jobs[j].take().expect("job placed twice"))
-                .collect();
-            self.fleet.push(
-                placement.device,
-                RoutedBatch {
-                    pending: group_pending,
-                    jobs: group_jobs,
-                    predicted_ns: placement.predicted_ns,
-                    attempts: 0,
-                },
-            );
-        }
+        enqueue(&self.fleet, routing.placements, &mut pending, &mut jobs, 0);
     }
 
     /// Why could no healthy backend take this job? Admitted nowhere
@@ -267,7 +292,7 @@ impl Router {
     /// (with the first backend's typed reason); admitted by some
     /// retired backend ⇒ `Exec`.
     fn classify_unroutable(&self, job: &NttJob) -> ServiceError {
-        let router = self.fleet.router.lock().expect("router poisoned");
+        let router = lock(&self.fleet.router);
         let mut first_reason = None;
         let mut valid_somewhere = false;
         for d in 0..router.device_count() {
@@ -302,11 +327,11 @@ pub(crate) struct Worker {
     /// Local mirror of this backend's health — only its own worker ever
     /// retires or re-admits it.
     healthy: bool,
-    /// Idle ticks to wait before the next re-admission probe (doubling
-    /// backoff, capped).
-    probe_backoff: u32,
-    /// Countdown (in idle ticks) until the next probe attempt.
-    probe_wait: u32,
+    /// Wait before the next re-admission probe after a failed one
+    /// (doubling backoff, capped).
+    probe_backoff: Duration,
+    /// When the next re-admission probe is due.
+    probe_at: Instant,
 }
 
 impl Worker {
@@ -327,49 +352,82 @@ impl Worker {
                 CpuNttEngine::with_cache(ntt_pim::engine::CpuDataflow::IterativeDit, cache)
             }),
             healthy: true,
-            probe_backoff: 1,
-            probe_wait: 0,
+            probe_backoff: PROBE_BASE,
+            probe_at: Instant::now(),
         }
     }
 
     pub(crate) fn run(mut self) {
         loop {
-            let next = self.pop_own().or_else(|| self.steal());
-            match next {
-                Some(batch) => self.process(batch),
-                None => {
-                    if self.fleet.done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if !self.healthy && self.fleet.readmission {
-                        self.try_probe();
-                    }
-                    std::thread::sleep(POLL);
-                }
+            if let Some(batch) = self.pop_own().or_else(|| self.steal()) {
+                self.process(batch);
+            } else if self.probe_deadline().is_some_and(|at| at <= Instant::now()) {
+                self.try_probe();
+            } else if !self.park() {
+                break;
+            }
+        }
+    }
+
+    /// When this worker must next wake on its own: only a retired
+    /// backend with re-admission on has a deadline (its next probe).
+    fn probe_deadline(&self) -> Option<Instant> {
+        (!self.healthy && self.fleet.readmission).then_some(self.probe_at)
+    }
+
+    /// Blocks until there is something to do: a group in this device's
+    /// queue, a hint that a busy peer has work to steal, a due probe,
+    /// or shutdown (`false`: exit).
+    fn park(&self) -> bool {
+        stat(&self.shared, |s| s.wakeups += 1);
+        let queue = &self.fleet.queues[self.id];
+        let deadline = self.probe_deadline();
+        let mut state = lock(&queue.state);
+        state.executing = false;
+        loop {
+            if !state.batches.is_empty() || std::mem::take(&mut state.steal_hint) {
+                return true;
+            }
+            if state.done {
+                return false;
+            }
+            if deadline.is_some_and(|at| at <= Instant::now()) {
+                return true;
+            }
+            state = wait_until(&queue.wake, state, deadline);
+        }
+    }
+
+    /// Runs jobs on the backend. A panic inside the backend becomes an
+    /// error like any other failure, so the worker survives to retire
+    /// the device and answer the group's tickets.
+    fn run_guarded(&mut self, jobs: &[NttJob]) -> Result<BackendOutcome, String> {
+        let device = &mut self.device;
+        match panic::catch_unwind(AssertUnwindSafe(|| device.run(jobs))) {
+            Ok(result) => result.map_err(|e| e.to_string()),
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                Err(format!("backend panicked: {message}"))
             }
         }
     }
 
     /// One re-admission attempt: claim the router's probe slot, run the
     /// backend's probe job through the same fault-injected path real
-    /// batches take, and rejoin on success. Probes back off
-    /// exponentially (in idle ticks) while the fault persists.
+    /// batches take, and rejoin on success. A failed probe doubles the
+    /// wait before the next one.
     fn try_probe(&mut self) {
-        if self.probe_wait > 0 {
-            self.probe_wait -= 1;
-            return;
-        }
-        if !self
-            .fleet
-            .router
-            .lock()
-            .expect("router poisoned")
-            .request_probe(self.id)
-        {
+        let id = self.id;
+        if !lock(&self.fleet.router).request_probe(id) {
+            self.probe_at = Instant::now() + self.probe_backoff;
             return;
         }
         let probe = self.device.probe_job();
-        let passed = match self.device.run(std::slice::from_ref(&probe)) {
+        let passed = match self.run_guarded(std::slice::from_ref(&probe)) {
             Ok(outcome) => match &mut self.verify {
                 Some(golden) => outcome
                     .spectra
@@ -379,37 +437,35 @@ impl Worker {
             },
             Err(_) => false,
         };
-        let id = self.id;
         if passed {
-            self.fleet
-                .router
-                .lock()
-                .expect("router poisoned")
-                .readmit(id);
+            lock(&self.fleet.router).readmit(id);
             self.healthy = true;
-            self.probe_backoff = 1;
-            self.probe_wait = 0;
+            self.probe_backoff = PROBE_BASE;
+            self.probe_at = Instant::now();
             stat(&self.shared, |s| {
                 s.readmissions += 1;
                 s.devices[id].healthy = true;
                 s.devices[id].readmissions += 1;
             });
         } else {
-            self.fleet
-                .router
-                .lock()
-                .expect("router poisoned")
-                .fail_probe(id);
-            self.probe_backoff = (self.probe_backoff * 2).min(1 << 10);
-            self.probe_wait = self.probe_backoff;
+            lock(&self.fleet.router).fail_probe(id);
+            self.probe_backoff = (self.probe_backoff * 2).min(PROBE_CAP);
+            self.probe_at = Instant::now() + self.probe_backoff;
         }
     }
 
+    /// Takes the oldest group routed here. If more wait behind it, idle
+    /// peers are woken to steal them while this worker executes.
     fn pop_own(&self) -> Option<RoutedBatch> {
-        self.fleet.queues[self.id]
-            .lock()
-            .expect("queue poisoned")
-            .pop_front()
+        let mut state = lock(&self.fleet.queues[self.id].state);
+        let batch = state.batches.pop_front()?;
+        state.executing = true;
+        let backlog = !state.batches.is_empty();
+        drop(state);
+        if backlog && self.fleet.work_stealing {
+            self.fleet.wake_idle_peers(self.id);
+        }
+        Some(batch)
     }
 
     /// Work stealing: an idle worker relieves the most backed-up peer
@@ -422,30 +478,21 @@ impl Worker {
             return None;
         }
         let (queued, threshold) = {
-            let router = self.fleet.router.lock().expect("router poisoned");
+            let router = lock(&self.fleet.router);
             (router.queued_ns().to_vec(), router.steal_threshold_ns())
         };
         let lens = self.fleet.queue_lens();
         let victim = fleet::pick_steal_victim(&queued, &lens, self.id, threshold)?;
-        let mut batch = self.fleet.queues[victim]
-            .lock()
-            .expect("queue poisoned")
-            .pop_back()?;
+        let mut batch = lock(&self.fleet.queues[victim].state).batches.pop_back()?;
         if batch.jobs.iter().any(|j| self.device.admit(j).is_err()) {
             // This backend cannot take the group (capacity or window);
-            // hand it back.
-            self.fleet.queues[victim]
-                .lock()
-                .expect("queue poisoned")
-                .push_back(batch);
+            // hand it back, waking its owner in case it parked meanwhile.
+            self.fleet.queues[victim].put(batch);
             return None;
         }
-        batch.predicted_ns = self.fleet.router.lock().expect("router poisoned").reassign(
-            victim,
-            self.id,
-            batch.predicted_ns,
-            &batch.jobs,
-        );
+        lock(&self.fleet.queues[self.id].state).executing = true;
+        batch.predicted_ns =
+            lock(&self.fleet.router).reassign(victim, self.id, batch.predicted_ns, &batch.jobs);
         let id = self.id;
         stat(&self.shared, |s| s.devices[id].steals += 1);
         Some(batch)
@@ -461,9 +508,9 @@ impl Worker {
             self.reroute(batch, "device retired");
             return;
         }
-        match self.device.run(&batch.jobs) {
+        match self.run_guarded(&batch.jobs) {
             Ok(outcome) => self.respond_batch(batch, outcome),
-            Err(e) => self.retire(batch, &e.to_string()),
+            Err(reason) => self.retire(batch, &reason),
         }
     }
 
@@ -478,16 +525,16 @@ impl Worker {
             s.devices[id].exec_failures += 1;
             s.devices[id].healthy = false;
         });
-        let leftovers: Vec<RoutedBatch> = {
-            let mut queue = self.fleet.queues[self.id].lock().expect("queue poisoned");
-            queue.drain(..).collect()
-        };
+        let leftovers: Vec<RoutedBatch> = lock(&self.fleet.queues[id].state)
+            .batches
+            .drain(..)
+            .collect();
         {
-            let mut router = self.fleet.router.lock().expect("router poisoned");
-            router.mark_unhealthy(self.id);
-            router.complete(self.id, batch.predicted_ns);
+            let mut router = lock(&self.fleet.router);
+            router.mark_unhealthy(id);
+            router.complete(id, batch.predicted_ns);
             for b in &leftovers {
-                router.complete(self.id, b.predicted_ns);
+                router.complete(id, b.predicted_ns);
             }
         }
         self.reroute(batch, reason);
@@ -502,61 +549,37 @@ impl Worker {
     /// a ticket resolves, it never orbits.
     fn reroute(&self, batch: RoutedBatch, reason: &str) {
         let attempts = batch.attempts + 1;
+        let failed = || {
+            Err(ServiceError::Exec {
+                reason: reason.to_string(),
+            })
+        };
         if attempts >= self.fleet.device_count() {
-            for (pending, _) in batch.pending.into_iter().zip(batch.jobs) {
-                respond(
-                    &self.shared,
-                    pending,
-                    Err(ServiceError::Exec {
-                        reason: reason.to_string(),
-                    }),
-                );
+            for pending in batch.pending {
+                respond(&self.shared, pending, failed());
             }
             return;
         }
-        let routing = self
-            .fleet
-            .router
-            .lock()
-            .expect("router poisoned")
-            .route(&batch.jobs);
+        let routing = lock(&self.fleet.router).route(&batch.jobs);
         let mut pending: Vec<Option<Pending>> = batch.pending.into_iter().map(Some).collect();
         let mut jobs: Vec<Option<NttJob>> = batch.jobs.into_iter().map(Some).collect();
         for &j in &routing.unroutable {
             let p = pending[j].take().expect("unroutable ticket routed twice");
-            respond(
-                &self.shared,
-                p,
-                Err(ServiceError::Exec {
-                    reason: reason.to_string(),
-                }),
-            );
+            respond(&self.shared, p, failed());
         }
-        for placement in routing.placements {
-            let group_pending: Vec<Pending> = placement
-                .jobs
-                .iter()
-                .map(|&j| pending[j].take().expect("job placed twice"))
-                .collect();
-            let group_jobs: Vec<NttJob> = placement
-                .jobs
-                .iter()
-                .map(|&j| jobs[j].take().expect("job placed twice"))
-                .collect();
-            self.fleet.push(
-                placement.device,
-                RoutedBatch {
-                    pending: group_pending,
-                    jobs: group_jobs,
-                    predicted_ns: placement.predicted_ns,
-                    attempts,
-                },
-            );
-        }
+        enqueue(
+            &self.fleet,
+            routing.placements,
+            &mut pending,
+            &mut jobs,
+            attempts,
+        );
     }
 
     /// Verifies (optionally) and answers every ticket of one executed
-    /// group, then releases the group's backlog accounting.
+    /// group. The group's backlog accounting is released and the device
+    /// marked idle *before* the answers go out, so a caller that replies
+    /// at once finds the device free again.
     fn respond_batch(&mut self, batch: RoutedBatch, mut outcome: BackendOutcome) {
         let RoutedBatch {
             pending,
@@ -615,6 +638,8 @@ impl Worker {
             topology: outcome.topology,
             queue: outcome.queue_report.clone(),
         });
+        lock(&self.fleet.router).complete(id, predicted_ns);
+        lock(&self.fleet.queues[id].state).executing = false;
         for (i, p) in pending.into_iter().enumerate() {
             let result = if verified[i] {
                 Ok(Response {
@@ -628,11 +653,39 @@ impl Worker {
             };
             respond(&self.shared, p, result);
         }
-        self.fleet
-            .router
-            .lock()
-            .expect("router poisoned")
-            .complete(self.id, predicted_ns);
+    }
+}
+
+/// Queues each placement's share of a routed batch on its device.
+/// `pending` and `jobs` are indexed by the batch position the
+/// placements name; each slot is taken exactly once.
+fn enqueue(
+    fleet: &FleetState,
+    placements: Vec<fleet::Placement>,
+    pending: &mut [Option<Pending>],
+    jobs: &mut [Option<NttJob>],
+    attempts: usize,
+) {
+    for placement in placements {
+        let group_pending: Vec<Pending> = placement
+            .jobs
+            .iter()
+            .map(|&j| pending[j].take().expect("job placed twice"))
+            .collect();
+        let group_jobs: Vec<NttJob> = placement
+            .jobs
+            .iter()
+            .map(|&j| jobs[j].take().expect("job placed twice"))
+            .collect();
+        fleet.push(
+            placement.device,
+            RoutedBatch {
+                pending: group_pending,
+                jobs: group_jobs,
+                predicted_ns: placement.predicted_ns,
+                attempts,
+            },
+        );
     }
 }
 
@@ -672,14 +725,7 @@ mod tests {
     }
 
     fn shared(devices: &[Topology]) -> Arc<Shared> {
-        Arc::new(Shared {
-            closing: AtomicBool::new(false),
-            depth: std::sync::atomic::AtomicUsize::new(0),
-            queue_depth: 64,
-            tenant_inflight: 0,
-            tenants: Mutex::new(std::collections::HashMap::new()),
-            stats: Mutex::new(StatsInner::for_devices(devices)),
-        })
+        Arc::new(Shared::new(64, 0, StatsInner::for_devices(devices)))
     }
 
     /// A deterministic end-to-end steal: device 0's worker never runs
@@ -711,11 +757,11 @@ mod tests {
         // Move the placement onto device 0's queue wherever the router
         // put it, adjusting the accounting to match.
         if placed.device != 0 {
-            let mut r = fleet.router.lock().unwrap();
+            let mut r = lock(&fleet.router);
             r.complete(placed.device, placed.predicted_ns);
             r.reassign(0, 0, 0.0, &jobs); // charge device 0 instead
         }
-        let (tx, rx) = mpsc::sync_channel(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         fleet.push(
             0,
             RoutedBatch {
@@ -730,7 +776,7 @@ mod tests {
                 attempts: 0,
             },
         );
-        shared.depth.store(1, Ordering::Release);
+        lock(&shared.intake).depth = 1;
         let backend = Box::new(ntt_bus::PimBackend::new(configs[1]).unwrap());
         let mut thief = Worker::new(1, backend, None, shared.clone(), fleet.clone(), None);
         let stolen = thief.steal().expect("backlogged peer must be stolen from");
@@ -738,13 +784,89 @@ mod tests {
         thief.process(stolen);
         let response = rx.recv().unwrap().expect("stolen work still resolves");
         assert_eq!(response.batch.device, 1, "executed by the thief");
-        let stats = shared.stats.lock().unwrap();
+        let stats = lock(&shared.stats);
         assert_eq!(stats.devices[1].steals, 1);
         assert_eq!(stats.devices[1].jobs, 1);
         assert_eq!(stats.devices[0].jobs, 0);
         // Both sides of the accounting returned to zero.
-        let router = fleet.router.lock().unwrap();
+        let router = lock(&fleet.router);
         assert!(router.queued_ns().iter().all(|&q| q == 0.0));
+    }
+
+    fn pim_pair() -> crate::ServiceConfig {
+        let cfg = PimConfig::hbm2e(2).with_topology(Topology::new(1, 1, 4));
+        crate::ServiceConfig::new(cfg).with_devices(vec![cfg, cfg])
+    }
+
+    /// Blocks until the router and both workers have parked once, so
+    /// no thread is still on its start-up pass through the loop.
+    fn await_parked(service: &crate::NttService) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.stats().wakeups < 3 {
+            assert!(Instant::now() < deadline, "service threads never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A group routed to an idle device is run by that device: its
+    /// owner is woken, and no peer is. Each request is sent only after
+    /// the previous answer, so the fleet is idle at every placement and
+    /// nothing may be stolen.
+    #[test]
+    fn idle_owner_runs_its_own_work() {
+        let service = crate::NttService::start(pim_pair()).unwrap();
+        await_parked(&service);
+        let client = service.client();
+        for i in 0..50 {
+            let ticket = client.submit("t", NttJob::new(poly(256, i), Q)).unwrap();
+            ticket.wait().expect("sequential request served");
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.completed, 50);
+        let steals: u64 = stats.devices.iter().map(|d| d.steals).sum();
+        assert_eq!(steals, 0, "an idle owner's work was stolen");
+    }
+
+    /// An idle service blocks instead of polling: over 200 ms its three
+    /// threads park about once each (a 1 kHz poll would count ~600).
+    #[test]
+    fn idle_service_makes_no_wakeups() {
+        let service = crate::NttService::start(pim_pair()).unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        let wakeups = service.stats().wakeups;
+        assert!(wakeups <= 4, "idle service woke {wakeups} times in 200 ms");
+        service.shutdown();
+    }
+
+    /// Shutdown is woken, not timed out: an idle service joins at once,
+    /// and a batch held behind a 30 s window is flushed and answered.
+    #[test]
+    fn shutdown_is_prompt() {
+        let service = crate::NttService::start(pim_pair()).unwrap();
+        let t0 = Instant::now();
+        service.shutdown();
+        assert!(t0.elapsed() < Duration::from_millis(100), "idle shutdown");
+
+        let config = pim_pair()
+            .with_max_wait(Duration::from_secs(30))
+            .with_max_batch(64);
+        let service = crate::NttService::start(config).unwrap();
+        let client = service.client();
+        let tickets: Vec<_> = (0..3)
+            .map(|i| {
+                client
+                    .submit("t", NttJob::new(poly(256, 40 + i), Q))
+                    .unwrap()
+            })
+            .collect();
+        let t0 = Instant::now();
+        let handle = std::thread::spawn(move || service.shutdown());
+        for ticket in tickets {
+            ticket.wait().expect("held ticket answered at shutdown");
+        }
+        let stats = handle.join().unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(1), "held-batch shutdown");
+        assert_eq!(stats.completed, 3);
     }
 
     /// A worker below the steal threshold leaves the victim alone.

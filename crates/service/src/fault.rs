@@ -1,5 +1,5 @@
 //! Fault injection for the fleet tier: a switchable wrapper around one
-//! backend so tests can make it error or stall **on command** and pin
+//! backend so tests can make it error, panic or stall **on command** and pin
 //! how the router reacts (drain onto healthy backends, resolve every
 //! ticket — result or typed error, never a hang — and, once the fault
 //! clears, re-admit the backend through the probe path).
@@ -18,6 +18,8 @@ use std::time::Duration;
 pub struct FaultSwitch {
     /// Fail the next batch execution with a typed error (one-shot).
     fail: AtomicBool,
+    /// Panic inside the next batch execution (one-shot).
+    panic: AtomicBool,
     /// Stall every batch execution this many microseconds (persistent —
     /// models a slow or wedged device rather than a single hiccup).
     stall_us: AtomicU64,
@@ -35,6 +37,12 @@ impl FaultSwitch {
         self.fail.store(true, Ordering::Release);
     }
 
+    /// Arms a one-shot backend panic: the backend's next batch panics
+    /// instead of running, as a bug inside a backend would.
+    pub fn panic_next(&self) {
+        self.panic.store(true, Ordering::Release);
+    }
+
     /// Stalls every subsequent batch execution by `delay` of wall-clock
     /// time (pass [`Duration::ZERO`] to clear).
     pub fn stall_for(&self, delay: Duration) {
@@ -46,6 +54,10 @@ impl FaultSwitch {
 
     fn take_fail(&self) -> bool {
         self.fail.swap(false, Ordering::AcqRel)
+    }
+
+    fn take_panic(&self) -> bool {
+        self.panic.swap(false, Ordering::AcqRel)
     }
 
     fn stall(&self) -> Duration {
@@ -107,13 +119,17 @@ impl FailingDevice {
     /// sleeps (the caller's wall clock — simulated time is unaffected,
     /// which is exactly what makes a stalled backend's queue back up),
     /// an armed failure returns a typed error without touching the
-    /// backend. Probe jobs run through this same path, so an armed
+    /// backend, and an armed panic panics. Probe jobs run through this same path, so an armed
     /// fault fails the probe too — re-admission only succeeds once the
     /// fault has genuinely cleared.
     ///
     /// # Errors
     ///
     /// The injected fault, or whatever the wrapped backend reports.
+    ///
+    /// # Panics
+    ///
+    /// When a panic is armed ([`FaultSwitch::panic_next`]).
     pub fn run(&mut self, jobs: &[NttJob]) -> Result<BackendOutcome, EngineError> {
         if let Some(switch) = &self.switch {
             let stall = switch.stall();
@@ -124,6 +140,9 @@ impl FailingDevice {
                 return Err(EngineError::Shape {
                     reason: "injected device fault".into(),
                 });
+            }
+            if switch.take_panic() {
+                panic!("injected backend panic");
             }
         }
         self.inner.run(jobs)

@@ -17,13 +17,15 @@
 //!   [`Ticket`]; [`Ticket::wait`] blocks until the request's response
 //!   arrives with the result, per-request latency, and the micro-batch's
 //!   merged device report.
-//! * **Dynamic micro-batching.** A dispatcher thread collects queued
-//!   requests and flushes when the batch reaches
-//!   `max_batch` (defaulting to the fleet's total
+//! * **Dynamic micro-batching.** A dispatcher thread sleeps until a
+//!   request is enqueued, then collects requests and flushes when the
+//!   batch reaches `max_batch` (defaulting to the fleet's total
 //!   [`lanes`](ntt_bus::CapabilityWindow::lanes))
 //!   *or* when the oldest queued request has waited `max_wait` —
-//!   whichever comes first. Full batches ride the cost-model LPT
-//!   scheduler across the whole `channels × ranks × banks` topology.
+//!   whichever comes first. It is woken by each arrival and by
+//!   shutdown, never by a polling tick, so an idle service costs no
+//!   CPU. Full batches ride the cost-model LPT scheduler across the
+//!   whole `channels × ranks × banks` topology.
 //! * **Admission control.** The queue is bounded: past `queue_depth`
 //!   in-flight requests, submission fails *fast* with
 //!   [`ServiceError::Busy`] instead of blocking the caller (shed load,
@@ -50,7 +52,8 @@
 //!   into the fleet once their fault clears. Per-slot health, identity,
 //!   and occupancy roll up in [`ServiceStats::devices`].
 //!
-//! Transport is `std` threads + `mpsc` — in-process by design, matching
+//! Transport is `std` threads, mutex + condvar queues, and one `mpsc`
+//! channel per ticket — in-process by design, matching
 //! this offline environment; the dispatcher/admission structure is the
 //! same one a network front-end would wrap.
 //!
@@ -104,10 +107,9 @@ use ntt_pim::core::device::QueueReport;
 use ntt_pim::engine::batch::NttJob;
 use ntt_pim::engine::EngineError;
 use ntt_ref::cache::PlanCache;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -386,38 +388,106 @@ pub(crate) struct Pending {
     pub(crate) tx: mpsc::SyncSender<Result<Response, ServiceError>>,
 }
 
+/// Locks `mutex`, recovering the guard if a panicking thread poisoned
+/// it. The crate's locks guard counters, queues and the router's
+/// predicted-backlog estimates: a panic part-way through an update can
+/// leave a count or an estimate off, never a value unsafe to read. So a
+/// panic in one thread must not cascade into every thread that touches
+/// the same state.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Blocks on `cv` until notified, or until `deadline` when one is given.
+/// The caller re-checks its condition under the returned guard, so a
+/// spurious or timed-out return is harmless.
+pub(crate) fn wait_until<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    deadline: Option<Instant>,
+) -> MutexGuard<'a, T> {
+    match deadline {
+        None => cv.wait(guard).unwrap_or_else(PoisonError::into_inner),
+        Some(at) => {
+            cv.wait_timeout(guard, at.saturating_duration_since(Instant::now()))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0
+        }
+    }
+}
+
+/// Admission state and the router's request queue. One lock covers
+/// both, so a request is admitted and enqueued atomically: the router
+/// never sees an admitted request that is not yet in the queue.
+#[derive(Default)]
+pub(crate) struct Intake {
+    /// Shutdown has begun: submission fails with [`ServiceError::Closed`].
+    pub(crate) closing: bool,
+    /// Requests in flight (admitted, not yet responded).
+    pub(crate) depth: usize,
+    /// In-flight count per tenant (kept only under a tenant cap).
+    pub(crate) tenants: HashMap<String, usize>,
+    /// Admitted requests the router has not collected yet.
+    pub(crate) queue: VecDeque<Pending>,
+}
+
 /// State shared between clients, the dispatcher, and the service handle.
 pub(crate) struct Shared {
-    pub(crate) closing: AtomicBool,
-    /// Requests in flight (admitted, not yet responded).
-    pub(crate) depth: AtomicUsize,
+    pub(crate) intake: Mutex<Intake>,
+    /// Wakes the router: signalled on every enqueue, when shutdown
+    /// begins, and when a closing service answers its last request.
+    pub(crate) intake_ready: Condvar,
     pub(crate) queue_depth: usize,
     pub(crate) tenant_inflight: usize,
-    pub(crate) tenants: Mutex<HashMap<String, usize>>,
     pub(crate) stats: Mutex<stats::StatsInner>,
 }
 
 impl Shared {
+    pub(crate) fn new(
+        queue_depth: usize,
+        tenant_inflight: usize,
+        stats: stats::StatsInner,
+    ) -> Self {
+        Self {
+            intake: Mutex::new(Intake::default()),
+            intake_ready: Condvar::new(),
+            queue_depth,
+            tenant_inflight,
+            stats: Mutex::new(stats),
+        }
+    }
+
     /// Releases one admitted request's slots (on response or rejection
-    /// after admission).
+    /// after admission), waking the router once a closing service has
+    /// nothing left in flight.
     pub(crate) fn release(&self, tenant: &str) {
-        self.depth.fetch_sub(1, Ordering::AcqRel);
+        let mut intake = lock(&self.intake);
+        intake.depth -= 1;
         if self.tenant_inflight > 0 {
-            let mut tenants = self.tenants.lock().expect("tenant map poisoned");
-            if let Some(count) = tenants.get_mut(tenant) {
+            if let Some(count) = intake.tenants.get_mut(tenant) {
                 *count -= 1;
                 if *count == 0 {
-                    tenants.remove(tenant);
+                    intake.tenants.remove(tenant);
                 }
             }
         }
+        let drained = intake.closing && intake.depth == 0;
+        drop(intake);
+        if drained {
+            self.intake_ready.notify_one();
+        }
+    }
+
+    /// Stops admission and wakes the router so it can drain and exit.
+    fn close(&self) {
+        lock(&self.intake).closing = true;
+        self.intake_ready.notify_one();
     }
 }
 
 /// A cloneable submission handle. Any number of threads may hold one.
 #[derive(Clone)]
 pub struct Client {
-    tx: mpsc::Sender<Pending>,
     shared: Arc<Shared>,
 }
 
@@ -437,65 +507,46 @@ impl Client {
     /// configuration is available to explain why.)
     pub fn submit(&self, tenant: impl Into<String>, job: NttJob) -> Result<Ticket, ServiceError> {
         let tenant = tenant.into();
-        if self.shared.closing.load(Ordering::Acquire) {
+        let shared = &*self.shared;
+        let mut intake = lock(&shared.intake);
+        if intake.closing {
             return Err(ServiceError::Closed);
         }
         // Admission: global depth first...
-        let admitted =
-            self.shared
-                .depth
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |depth| {
-                    (depth < self.shared.queue_depth).then_some(depth + 1)
-                });
-        if admitted.is_err() {
-            self.shared
-                .stats
-                .lock()
-                .expect("stats poisoned")
-                .rejected_busy += 1;
+        if intake.depth >= shared.queue_depth {
+            drop(intake);
+            lock(&shared.stats).rejected_busy += 1;
             return Err(ServiceError::Busy {
-                queue_depth: self.shared.queue_depth,
+                queue_depth: shared.queue_depth,
             });
         }
         // ...then the per-tenant fairness cap.
-        if self.shared.tenant_inflight > 0 {
-            let mut tenants = self.shared.tenants.lock().expect("tenant map poisoned");
-            let count = tenants.entry(tenant.clone()).or_insert(0);
-            if *count >= self.shared.tenant_inflight {
-                drop(tenants);
-                self.shared.depth.fetch_sub(1, Ordering::AcqRel);
-                self.shared
-                    .stats
-                    .lock()
-                    .expect("stats poisoned")
-                    .rejected_tenant += 1;
+        if shared.tenant_inflight > 0 {
+            let count = intake.tenants.entry(tenant.clone()).or_insert(0);
+            if *count >= shared.tenant_inflight {
+                drop(intake);
+                lock(&shared.stats).rejected_tenant += 1;
                 return Err(ServiceError::TenantBusy {
                     tenant,
-                    limit: self.shared.tenant_inflight,
+                    limit: shared.tenant_inflight,
                 });
             }
             *count += 1;
         }
+        intake.depth += 1;
+        // Count the acceptance *before* the enqueue: the dispatcher may
+        // serve (and count as completed) a request the instant it lands,
+        // and `completed` must never be observable ahead of `accepted`.
+        lock(&shared.stats).accepted += 1;
         let (tx, rx) = mpsc::sync_channel(1);
-        let pending = Pending {
-            tenant: tenant.clone(),
+        intake.queue.push_back(Pending {
+            tenant,
             job,
             submitted: Instant::now(),
             tx,
-        };
-        // Count the acceptance *before* the send: the dispatcher may
-        // serve (and count as completed) a request the instant it lands,
-        // and `completed` must never be observable ahead of `accepted`.
-        self.shared.stats.lock().expect("stats poisoned").accepted += 1;
-        if self.tx.send(pending).is_err() {
-            // Dispatcher gone: roll the admission back. (It cannot be
-            // gone while our depth slot is held — see the dispatcher's
-            // drain loop — but a plain rollback keeps this path safe
-            // regardless.)
-            self.shared.stats.lock().expect("stats poisoned").accepted -= 1;
-            self.shared.release(&tenant);
-            return Err(ServiceError::Closed);
-        }
+        });
+        drop(intake);
+        shared.intake_ready.notify_one();
         Ok(Ticket { rx })
     }
 }
@@ -533,7 +584,6 @@ impl Ticket {
 /// architecture.
 pub struct NttService {
     shared: Arc<Shared>,
-    tx: Option<mpsc::Sender<Pending>>,
     router: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
     fleet: Arc<dispatch::FleetState>,
@@ -573,14 +623,11 @@ impl NttService {
             .iter()
             .map(|b| (b.label().to_string(), b.kind(), b.topology(), b.lanes()))
             .collect();
-        let shared = Arc::new(Shared {
-            closing: AtomicBool::new(false),
-            depth: AtomicUsize::new(0),
-            queue_depth: config.queue_depth.max(1),
-            tenant_inflight: config.tenant_inflight,
-            tenants: Mutex::new(HashMap::new()),
-            stats: Mutex::new(stats::StatsInner::for_backends(slots)),
-        });
+        let shared = Arc::new(Shared::new(
+            config.queue_depth.max(1),
+            config.tenant_inflight,
+            stats::StatsInner::for_backends(slots),
+        ));
         let fleet = Arc::new(dispatch::FleetState::new(
             router,
             config.work_stealing,
@@ -592,9 +639,7 @@ impl NttService {
                 *slot = Some(switch.clone());
             }
         }
-        let (tx, rx) = mpsc::channel();
         let front = dispatch::Router::new(
-            rx,
             shared.clone(),
             fleet.clone(),
             max_batch.max(1),
@@ -625,7 +670,6 @@ impl NttService {
             .collect();
         Ok(Self {
             shared,
-            tx: Some(tx),
             router: Some(router_handle),
             workers,
             fleet,
@@ -638,7 +682,6 @@ impl NttService {
     /// A new submission handle.
     pub fn client(&self) -> Client {
         Client {
-            tx: self.tx.as_ref().expect("service running").clone(),
             shared: self.shared.clone(),
         }
     }
@@ -667,8 +710,7 @@ impl NttService {
 
     /// A point-in-time stats snapshot.
     pub fn stats(&self) -> ServiceStats {
-        let inner = self.shared.stats.lock().expect("stats poisoned");
-        inner.snapshot(self.cache.stats())
+        lock(&self.shared.stats).snapshot(self.cache.stats())
     }
 
     /// Graceful shutdown: stops admitting, serves everything already
@@ -680,15 +722,14 @@ impl NttService {
     }
 
     fn stop(&mut self) {
-        self.shared.closing.store(true, Ordering::Release);
-        drop(self.tx.take());
+        self.shared.close();
         // The router exits only once every admitted request has been
         // responded to (depth == 0), so by the time it joins, the
         // workers' queues are empty and they can be released.
         if let Some(handle) = self.router.take() {
             let _ = handle.join();
         }
-        self.fleet.done.store(true, Ordering::Release);
+        self.fleet.shut_down();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -705,6 +746,7 @@ impl Drop for NttService {
 mod tests {
     use super::*;
     use ntt_pim::engine::{CpuNttEngine, NttEngine};
+    use std::sync::atomic::Ordering;
 
     const Q: u64 = 12289;
 

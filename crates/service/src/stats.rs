@@ -23,6 +23,7 @@ pub(crate) struct StatsInner {
     pub(crate) bus_slots: u64,
     pub(crate) rank_acts: u64,
     pub(crate) readmissions: u64,
+    pub(crate) wakeups: u64,
     /// One entry per fleet device, in device order.
     pub(crate) devices: Vec<DeviceStats>,
 }
@@ -92,6 +93,7 @@ impl StatsInner {
             bus_slots: self.bus_slots,
             rank_acts: self.rank_acts,
             readmissions: self.readmissions,
+            wakeups: self.wakeups,
             devices: self.devices.clone(),
             plan_cache,
         }
@@ -198,6 +200,10 @@ pub struct ServiceStats {
     /// Devices re-admitted after retirement (fleet-wide total; per-slot
     /// counts live in [`DeviceStats::readmissions`]).
     pub readmissions: u64,
+    /// Times the router or a worker found no work and went to wait. The
+    /// service's threads block until woken, so an idle service adds
+    /// about one per thread, not a steady rate.
+    pub wakeups: u64,
     /// Per-device health and occupancy, in device order (a single-device
     /// service has exactly one row).
     pub devices: Vec<DeviceStats>,

@@ -418,6 +418,63 @@ fn retired_device_rejoins_after_probe_success() {
     assert_eq!(stats.devices[1].jobs, 16);
 }
 
+/// A backend that panics is treated like one that errors: the worker
+/// survives, retires the device, drains its group onto the healthy
+/// peer, and re-admits the device once a probe passes. Every ticket
+/// resolves with its result, and shutdown returns. A dead worker would
+/// hold the group's admission slots forever, so shutdown (and the drop
+/// of a service whose test failed) would block: the body runs on its own
+/// thread and the test bounds it.
+#[test]
+fn panicking_backend_retires_and_rejoins() {
+    const Q: u64 = 12289;
+    let (done, finished) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        let cfg = device((2, 2, 4));
+        let switch = Arc::new(FaultSwitch::new());
+        switch.panic_next();
+        let config = ServiceConfig::new(cfg)
+            .with_devices(vec![cfg, cfg])
+            .with_max_batch(16)
+            .with_max_wait(Duration::from_millis(5))
+            .with_steal_threshold(Duration::from_secs(10))
+            .with_device_fault(0, switch);
+        let service = NttService::start(config).unwrap();
+        let client = service.client();
+        let jobs: Vec<NttJob> = (0..16)
+            .map(|i| NttJob::new(poly(256, Q, 800 + i), Q))
+            .collect();
+        let tickets: Vec<_> = jobs
+            .iter()
+            .map(|j| client.submit("t", j.clone()).unwrap())
+            .collect();
+        for (job, ticket) in jobs.iter().zip(tickets) {
+            let response = ticket.wait().expect("a panicked group still resolves");
+            assert_eq!(response.result, expected(job));
+            assert_eq!(response.batch.device, 1);
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !service.stats().devices[0].healthy {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "device 0 never re-admitted"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.completed, 16);
+        assert_eq!(stats.exec_failures, 1);
+        assert_eq!(stats.devices[0].exec_failures, 1);
+        assert_eq!(stats.devices[0].readmissions, 1);
+        assert!(stats.devices[0].healthy);
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the service failed or hung after a backend panic");
+    body.join().unwrap();
+}
+
 /// End to end on a mixed fleet (PIM + CPU lanes + a published model):
 /// every response is bit-identical to the golden model whichever
 /// backend served it, and the stats rows carry each slot's identity.
