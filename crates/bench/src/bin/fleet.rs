@@ -15,8 +15,9 @@
 //!
 //! A threaded smoke point then runs the real [`NttService`] fleet (4
 //! devices, 32 concurrent clients) end to end, so the bench also
-//! exercises the router/worker/steal machinery under OS interleaving,
-//! not just the routing math.
+//! exercises the router and workers under OS interleaving, not just the
+//! routing math. The smoke routes the burst as one micro-batch with work
+//! stealing off, so its JSON line is the same on every run.
 //!
 //! Modes:
 //!
@@ -159,8 +160,16 @@ fn run_smoke() -> Smoke {
     let service = NttService::start(
         ServiceConfig::new(PimConfig::hbm2e(2).with_topology(TOPOLOGY))
             .with_device_count(SMOKE_DEVICES)
-            .with_max_wait(Duration::from_millis(10))
-            .with_queue_depth(2 * SMOKE_CONCURRENCY),
+            // One micro-batch of the whole burst, routed once: the batch
+            // closes at the 32nd request, long before the deadline, so
+            // the placement does not depend on when threads arrive.
+            .with_max_batch(SMOKE_CONCURRENCY)
+            .with_max_wait(Duration::from_secs(60))
+            .with_queue_depth(2 * SMOKE_CONCURRENCY)
+            // A worker that finishes first could steal a peer's group
+            // before the peer's thread pops it; the stealing paths have
+            // their own tests, and the smoke's JSON must be reproducible.
+            .with_work_stealing(false),
     )
     .expect("valid fleet service config");
     let barrier = Barrier::new(SMOKE_CONCURRENCY);

@@ -687,8 +687,9 @@ impl PimDevice {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::sched::DagJob;
 
     const Q: u32 = 7681;
 
@@ -916,7 +917,7 @@ mod tests {
     /// Mixed forward / inverse / negacyclic-polymul queues with
     /// `per_bank` programs on every bank of the device, so each bank
     /// closes its row between programs at least once.
-    fn mixed_queues(dev: &mut PimDevice, per_bank: usize) -> Vec<Vec<Program>> {
+    pub(crate) fn mixed_queues(dev: &mut PimDevice, per_bank: usize) -> Vec<Vec<Program>> {
         let config = dev.config;
         (0..config.total_banks())
             .map(|bank| {
@@ -959,7 +960,9 @@ mod tests {
     /// behind one ordinary job per bank: column sub-jobs signal barrier
     /// 0 and the twiddle+row sub-jobs wait on it, rows at the back of
     /// each bank queue.
-    fn split_programs(dev: &mut PimDevice) -> (Vec<Program>, Vec<Program>, Vec<Program>) {
+    pub(crate) fn split_programs(
+        dev: &mut PimDevice,
+    ) -> (Vec<Program>, Vec<Program>, Vec<Program>) {
         let banks = dev.config.total_banks();
         let (n, rows, cols) = (256usize, 16usize, 16usize);
         let q = Q as u64;
@@ -1000,6 +1003,33 @@ mod tests {
             })
             .collect();
         (ordinary, columns, row_progs)
+    }
+
+    /// The DAG queues of [`split_programs`]' output: one ordinary job per
+    /// bank, then the column sub-jobs (signaling barrier 0) and the row
+    /// sub-jobs (waiting on it), dealt round-robin across `banks`.
+    pub(crate) fn split_dag<'a>(
+        banks: usize,
+        ordinary: &'a [Program],
+        columns: &'a [Program],
+        rows: &'a [Program],
+    ) -> Vec<Vec<DagJob<'a>>> {
+        let mut dag: Vec<Vec<DagJob>> = ordinary.iter().map(|p| vec![DagJob::plain(p)]).collect();
+        for (c, program) in columns.iter().enumerate() {
+            dag[c % banks].push(DagJob {
+                program,
+                waits_on: None,
+                signals: Some(0),
+            });
+        }
+        for (r, program) in rows.iter().enumerate() {
+            dag[r % banks].push(DagJob {
+                program,
+                waits_on: Some(0),
+                signals: None,
+            });
+        }
+        dag
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -1051,7 +1081,6 @@ mod tests {
     #[test]
     fn event_free_reports_match_full_timelines() {
         use crate::config::Topology;
-        use crate::sched::DagJob;
         let configs = [
             PimConfig::hbm2e(2),
             PimConfig::hbm2e(2).with_banks(16),
@@ -1081,23 +1110,7 @@ mod tests {
             }
 
             let (ordinary, columns, rows) = split_programs(&mut dev);
-            let banks = config.total_banks();
-            let mut dag: Vec<Vec<DagJob>> =
-                ordinary.iter().map(|p| vec![DagJob::plain(p)]).collect();
-            for (c, program) in columns.iter().enumerate() {
-                dag[c % banks].push(DagJob {
-                    program,
-                    waits_on: None,
-                    signals: Some(0),
-                });
-            }
-            for (r, program) in rows.iter().enumerate() {
-                dag[r % banks].push(DagJob {
-                    program,
-                    waits_on: Some(0),
-                    signals: None,
-                });
-            }
+            let dag = split_dag(config.total_banks(), &ordinary, &columns, &rows);
             let full = sched::schedule_queues_dag(&config, &dag).unwrap();
             assert_eq!(full.barrier_ps.len(), 1);
             assert_same_report(

@@ -14,20 +14,26 @@
 //! paper's software-pipelined order, and in-order issue with per-resource
 //! earliest times produces the overlapped timeline of Fig. 6.
 //!
+//! There is one issue model and one issue loop. Each bank issues its
+//! commands in program order: a command claims the first free bus slot at
+//! or after both its own earliest time and the slot after its
+//! predecessor's. Other banks' commands may fill the slots in between.
+//! [`schedule`] is the one-bank, one-program case of that loop, so a
+//! program costs the same alone as it does as a one-job queue.
+//!
 //! [`schedule_queues`] is the paper's bank-level parallelism model (§VI.A,
-//! §VII) and the one multi-bank timing path: one program *sequence* per
-//! bank, with a *shared* command bus (banks have private rows, buffers and
-//! CUs, but commands serialize on the bus). Each bank drains its queue back
-//! to back and advances to its next program as soon as the previous one
-//! finishes, with no cross-bank barrier — only the shared command bus and
-//! the rank's tRRD/tFAW window couple the banks. [`schedule_queues_dag`]
-//! adds dependency barriers for split transforms. [`lpt_assign`] is the
-//! matching longest-processing-time bin-packing helper that builds
-//! balanced queues from per-job cost estimates.
+//! §VII): one program *sequence* per bank, with a *shared* command bus
+//! (banks have private rows, buffers and CUs, but commands serialize on
+//! the bus). Each bank drains its queue back to back and advances to its
+//! next program as soon as the previous one finishes, with no cross-bank
+//! barrier — only the shared command bus and the rank's tRRD/tFAW window
+//! couple the banks. [`schedule_queues_dag`] adds dependency barriers for
+//! split transforms. [`lpt_assign`] is the matching
+//! longest-processing-time bin-packing helper that builds balanced queues
+//! from per-job cost estimates.
 //!
 //! This module is the one place that composes the bank
-//! ([`BankTimer`]), rank ([`RankTimer`]) and bus
-//! ([`dram_sim::chip::CommandBus`], [`dram_sim::chip::FairBus`]) timers.
+//! ([`BankTimer`]), rank ([`RankTimer`]) and bus ([`FairBus`]) timers.
 //!
 //! The multi-bank entry points are topology-aware: banks are indexed
 //! globally across the config's `channels × ranks × banks` device shape
@@ -43,7 +49,7 @@ use crate::config::PimConfig;
 use crate::mapper::Program;
 use crate::PimError;
 use dram_sim::bank::{BankCommand, BankCounters, BankTimer};
-use dram_sim::chip::{CommandBus, FairBus};
+use dram_sim::chip::FairBus;
 use dram_sim::energy::{EnergyMeter, EnergyParams};
 use dram_sim::rank::RankTimer;
 use dram_sim::timing::ResolvedTiming;
@@ -250,24 +256,6 @@ impl Timeline {
     }
 }
 
-/// Command-bus abstraction: grants one slot per memory cycle.
-trait Bus {
-    /// Claims the first available slot at or after `earliest_ps`.
-    fn claim(&mut self, earliest_ps: u64) -> u64;
-}
-
-impl Bus for CommandBus {
-    fn claim(&mut self, earliest_ps: u64) -> u64 {
-        CommandBus::claim(self, earliest_ps)
-    }
-}
-
-impl Bus for FairBus {
-    fn claim(&mut self, earliest_ps: u64) -> u64 {
-        FairBus::claim(self, earliest_ps)
-    }
-}
-
 /// Where the issue loop puts each scheduled command. The public entry
 /// points record every [`Event`] and each logical command's issue time
 /// ([`Record`]) for golden traces, phase breakdowns and rendering; the
@@ -344,8 +332,9 @@ struct Engine<'a, S> {
     /// Next refresh deadline (ps); `u64::MAX` disables refresh.
     next_ref_ps: u64,
     /// Issue floor, ps: no command may claim a bus slot earlier than
-    /// this. Raised to a DAG barrier's completion time while the engine
-    /// issues a program that waits on that barrier; 0 otherwise.
+    /// this. The bank issues in program order, so every claim raises it
+    /// to the slot after its own; a program that waits on a DAG barrier
+    /// raises it to the barrier's completion time.
     floor: u64,
 }
 
@@ -375,10 +364,14 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
     }
 
-    /// Claims a bus slot no earlier than the engine's issue floor (the
-    /// DAG-barrier gate; a plain schedule's floor is 0).
-    fn claim(&self, bus: &mut impl Bus, earliest_ps: u64) -> u64 {
-        bus.claim(earliest_ps.max(self.floor))
+    /// Claims the first free bus slot at or after both `earliest_ps` and
+    /// the issue floor, then moves the floor past it: a command never
+    /// overtakes its predecessor on the bank, while other banks' commands
+    /// still backfill the free slots between.
+    fn claim(&mut self, bus: &mut FairBus, earliest_ps: u64) -> u64 {
+        let slot = bus.claim(earliest_ps.max(self.floor));
+        self.floor = slot + self.resolved.cycle_ps;
+        slot
     }
 
     /// Accounts one scheduled command and hands it to the sink.
@@ -400,7 +393,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
     }
 
     /// Opens `row`, inserting PRE/ACT as needed.
-    fn open(&mut self, row: u32, bus: &mut impl Bus, rank: &mut RankTimer) -> Result<(), PimError> {
+    fn open(&mut self, row: u32, bus: &mut FairBus, rank: &mut RankTimer) -> Result<(), PimError> {
         if self.open_row == Some(row) {
             return Ok(());
         }
@@ -428,7 +421,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
     fn issue(
         &mut self,
         cmd: &PimCommand,
-        bus: &mut impl Bus,
+        bus: &mut FairBus,
         rank: &mut RankTimer,
     ) -> Result<(), PimError> {
         // Refresh injection: when the deadline passed, close the row and
@@ -457,7 +450,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
     /// neither job, so it stays out of the completion front.
     fn close_between_jobs(
         &mut self,
-        bus: &mut impl Bus,
+        bus: &mut FairBus,
         rank: &mut RankTimer,
     ) -> Result<(), PimError> {
         let front = self.max_end;
@@ -469,7 +462,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
     fn issue_inner(
         &mut self,
         cmd: &PimCommand,
-        bus: &mut impl Bus,
+        bus: &mut FairBus,
         rank: &mut RankTimer,
     ) -> Result<(), PimError> {
         match cmd {
@@ -589,7 +582,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         p: BufId,
         s: BufId,
         latency_ps: u64,
-        bus: &mut impl Bus,
+        bus: &mut FairBus,
     ) -> Result<(), PimError> {
         let pi = self.check_buf(p)?;
         let si = self.check_buf(s)?;
@@ -618,22 +611,17 @@ impl<'a, S: EventSink> Engine<'a, S> {
     }
 }
 
-/// Schedules a program on one bank.
+/// Schedules a program on one bank: the one-queue case of
+/// [`schedule_queues`], so a program timed alone and the same program as
+/// a one-job queue get the same timeline.
 ///
 /// # Errors
 ///
 /// Propagates configuration and DRAM state errors; a correct mapper output
 /// never triggers the latter.
 pub fn schedule(config: &PimConfig, program: &Program) -> Result<Timeline, PimError> {
-    config.validate()?;
-    let resolved = config.timing.resolve();
-    let mut bus = CommandBus::new(resolved.cycle_ps);
-    let mut rank = RankTimer::new(&resolved);
-    let mut engine = Engine::<Record>::new(config);
-    for cmd in &program.commands {
-        engine.issue(cmd, &mut bus, &mut rank)?;
-    }
-    Ok(engine.finish())
+    let mut qt = schedule_multi::<Record>(config, &[vec![DagJob::plain(program)]])?;
+    Ok(qt.banks.swap_remove(0))
 }
 
 /// Schedules one program *queue* per bank over the shared command bus.
@@ -765,7 +753,7 @@ pub(crate) fn schedule_queues_untraced(
     schedule_multi::<Discard>(config, queues)
 }
 
-/// Shared issue loop of [`schedule_queues`] and
+/// The one issue loop, behind [`schedule`], [`schedule_queues`] and
 /// [`schedule_queues_dag`]: round-robin command interleave across banks,
 /// one stateful engine per bank, program-boundary completion times
 /// recorded per queue, barrier-tagged programs held until their
@@ -805,9 +793,7 @@ fn schedule_multi<S: EventSink>(
         }
     }
     let mut barrier_ps = vec![0u64; n_barriers];
-    // The fair (slot-bitmap) bus lives in dram-sim next to the monotonic
-    // one, so both bus models have one definition; each channel gets its
-    // own.
+    // Each channel gets its own bus; the banks on it share its slots.
     let mut buses: Vec<FairBus> = (0..topo.channels)
         .map(|_| FairBus::new(resolved.cycle_ps))
         .collect();
@@ -867,7 +853,7 @@ fn schedule_multi<S: EventSink>(
                 if cmd_idx[b] == 0 {
                     // First command of a gated program: floor every issue
                     // at the barrier's completion (the stage boundary).
-                    engines[b].floor = barrier_ps[k];
+                    engines[b].floor = engines[b].floor.max(barrier_ps[k]);
                 }
             }
             let prog = job.program;
@@ -884,7 +870,6 @@ fn schedule_multi<S: EventSink>(
                     barrier_left[k] -= 1;
                     barrier_ps[k] = barrier_ps[k].max(end);
                 }
-                engines[b].floor = 0;
                 prog_idx[b] += 1;
                 cmd_idx[b] = 0;
                 // Between queued jobs the host stages the next job's data
@@ -1172,16 +1157,58 @@ mod tests {
         let prog = program(&c, 1024, MapperOptions::default());
         let single = schedule(&c, &prog).unwrap();
         let four = schedule_queues(&c, &vec![vec![prog.clone()]; 4]).unwrap();
-        // 4 NTTs in 4 banks should take well under 2x one NTT's time.
+        // 4 NTTs in 4 banks should take well under 2x one NTT's time,
+        // and never less than one NTT alone.
         assert!(
             four.end_ps < 2 * single.end_ps,
             "4-bank {} vs 1-bank {}",
             four.end_ps,
             single.end_ps
         );
+        assert!(
+            four.end_ps >= single.end_ps,
+            "4-bank {} faster than 1-bank {}",
+            four.end_ps,
+            single.end_ps
+        );
         // And the combined trace must be globally legal.
         validate_trace(c.timing.resolve(), c.geometry, &merged_trace(&four))
             .unwrap_or_else(|(i, e)| panic!("entry {i}: {e}"));
+    }
+
+    #[test]
+    fn banks_issue_in_program_order() {
+        // Other banks' commands fill a bank's idle bus slots, but none of
+        // a bank's own commands overtakes its predecessor. Mixed queues
+        // and a split DAG on a sharded, refreshing device cover row
+        // closes, refreshes, parameter broadcasts and barrier gates.
+        use crate::config::Topology;
+        use crate::device::tests::{mixed_queues, split_dag, split_programs};
+        use crate::device::PimDevice;
+        let c = PimConfig::hbm2e(2)
+            .with_topology(Topology::new(2, 2, 4))
+            .with_refresh(true);
+        let mut dev = PimDevice::new(c).unwrap();
+        let queues = mixed_queues(&mut dev, 3);
+        let (ordinary, columns, rows) = split_programs(&mut dev);
+        let dag = split_dag(c.total_banks(), &ordinary, &columns, &rows);
+        let mixed = schedule_queues(&c, &queues).unwrap();
+        assert!(mixed.banks.iter().all(|t| t.counters.refreshes > 0));
+        for (what, qt) in [
+            ("queues", mixed),
+            ("split DAG", schedule_queues_dag(&c, &dag).unwrap()),
+        ] {
+            for (b, tl) in qt.banks.iter().enumerate() {
+                if let Some(i) = tl.events.windows(2).position(|w| w[0].at_ps >= w[1].at_ps) {
+                    panic!(
+                        "{what}: bank {b} event {} at {} ps issues at or before {} ps",
+                        i + 1,
+                        tl.events[i + 1].at_ps,
+                        tl.events[i].at_ps
+                    );
+                }
+            }
+        }
     }
 
     #[test]

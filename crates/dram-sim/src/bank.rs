@@ -18,8 +18,8 @@
 //! | WR → PRE | CL + tWR (write recovery) |
 //!
 //! Column commands move whole DRAM atoms (32 B); data for a read is valid
-//! CL after issue, which [`BankTimer::data_ready_ps`] reports so callers
-//! can chain dependent work.
+//! CL after issue, which the PIM scheduler (`ntt_pim_core::sched`) adds
+//! itself when it chains compute on the read.
 
 use crate::timing::ResolvedTiming;
 use crate::TimingError;
@@ -117,11 +117,6 @@ impl BankTimer {
             t_last_ref: None,
             counters: BankCounters::default(),
         }
-    }
-
-    /// The resolved timing this bank enforces.
-    pub fn timing(&self) -> &ResolvedTiming {
-        &self.timing
     }
 
     /// Currently open row, if any.
@@ -265,12 +260,6 @@ impl BankTimer {
         }
         Ok(())
     }
-
-    /// When the data of a read issued at `rd_issue_ps` is available (CL
-    /// after the command).
-    pub fn data_ready_ps(&self, rd_issue_ps: u64) -> u64 {
-        rd_issue_ps + self.timing.cl
-    }
 }
 
 #[cfg(test)]
@@ -354,12 +343,6 @@ mod tests {
         assert_eq!(c.reads, 2);
         assert_eq!(c.writes, 1);
         assert_eq!(c.row_hits, 2);
-    }
-
-    #[test]
-    fn data_ready_cl_after_read() {
-        let b = bank();
-        assert_eq!(b.data_ready_ps(100 * C), 114 * C);
     }
 
     #[test]

@@ -1,48 +1,20 @@
-//! The shared command bus, in its two models.
+//! The shared command bus.
 //!
 //! DRAM banks share the command/address bus: only one command can issue per
 //! memory-clock cycle, no matter how many banks could accept one. That
 //! serialization is the first-order limit on the paper's bank-level
 //! parallelism claim ("near-linear speed up as the number of banks
-//! increases"). [`CommandBus`] is the strictly monotonic bus of one
-//! in-order command stream; [`FairBus`] lets interleaved streams (one per
-//! bank) backfill free cycles. The PIM scheduler (`ntt_pim_core::sched`)
-//! times a single-bank schedule on the first and every multi-bank schedule
-//! on the second, one per channel.
-
-/// The strictly monotonic command bus of one in-order command stream:
-/// every claim is granted after the previous grant, even when the
-/// requested time is earlier.
-#[derive(Debug, Clone)]
-pub struct CommandBus {
-    cycle_ps: u64,
-    next_free_ps: u64,
-}
-
-impl CommandBus {
-    /// Creates an idle bus with the given slot width.
-    pub fn new(cycle_ps: u64) -> Self {
-        Self {
-            cycle_ps,
-            next_free_ps: 0,
-        }
-    }
-
-    /// Claims the first cycle-aligned slot `>= at_ps` that is not before
-    /// the previous grant, and returns it.
-    pub fn claim(&mut self, at_ps: u64) -> u64 {
-        let slot = at_ps.max(self.next_free_ps).div_ceil(self.cycle_ps) * self.cycle_ps;
-        self.next_free_ps = slot + self.cycle_ps;
-        slot
-    }
-}
+//! increases"). [`FairBus`] grants each claim the first free cycle at or
+//! after the requested time, so interleaved bank streams backfill each
+//! other's idle cycles. The PIM scheduler (`ntt_pim_core::sched`) times
+//! every schedule on it, one bus per channel, and keeps each bank's own
+//! commands in program order on top of it.
 
 /// A fair multi-stream command bus: each claim takes the first
 /// *unoccupied* cycle at or after the requested time, so interleaved
-/// independent streams (one per bank) do not starve each other the way
-/// a strictly monotonic [`CommandBus`] would. This is the bus model
-/// behind bank-parallel batch execution
-/// (`ntt_pim_core::sched::schedule_queues`).
+/// independent streams (one per bank) do not starve each other. A
+/// stream that must issue in order asks for a time after its previous
+/// grant (`ntt_pim_core::sched` does this for every bank).
 ///
 /// Occupancy is a growable bitmap with one bit per memory cycle, from
 /// cycle 0 up to the latest claimed slot: bit `s % 64` of word `s / 64`
@@ -99,14 +71,6 @@ impl FairBus {
     pub fn issued(&self) -> u64 {
         self.issued
     }
-
-    /// Bus utilization over `[0, horizon_ps)`.
-    pub fn utilization(&self, horizon_ps: u64) -> f64 {
-        if horizon_ps == 0 {
-            return 0.0;
-        }
-        (self.issued() * self.cycle_ps) as f64 / horizon_ps as f64
-    }
 }
 
 #[cfg(test)]
@@ -116,19 +80,14 @@ mod tests {
     const C: u64 = 833;
 
     #[test]
-    fn fair_bus_fills_gaps_monotonic_bus_cannot() {
+    fn fair_bus_backfills_earlier_free_slots() {
         let mut fair = FairBus::new(C);
-        let mut mono = CommandBus::new(C);
         // Stream A claims a late slot first…
         assert_eq!(fair.claim(10 * C), 10 * C);
-        assert_eq!(mono.claim(10 * C), 10 * C);
-        // …then stream B asks for an early one. The fair bus backfills;
-        // the monotonic bus pushes B behind A.
+        // …then stream B asks for an early one, and the bus backfills.
         assert_eq!(fair.claim(0), 0);
-        assert_eq!(mono.claim(0), 11 * C);
         // Same earliest time twice: consecutive distinct slots.
         assert_eq!(fair.claim(0), C);
         assert_eq!(fair.issued(), 3);
-        assert!((fair.utilization(100 * C) - 3.0 / 100.0).abs() < 1e-9);
     }
 }

@@ -12,8 +12,8 @@
 //! * functional storage ([`storage::BankStorage`]) so command streams can
 //!   be executed for *values*, not just times,
 //! * the rank-level tRRD/tFAW activation window ([`rank::RankTimer`]),
-//! * the shared command bus in its two models ([`chip`]): monotonic for
-//!   one command stream, fair for interleaved bank streams,
+//! * the shared command bus ([`chip::FairBus`]), one slot per memory
+//!   cycle, which interleaved bank streams backfill,
 //! * the multi-channel, multi-rank device shape ([`channel::Topology`])
 //!   for device-level scaling beyond the paper's single chip, and
 //! * per-command energy accounting ([`energy`]).
@@ -59,7 +59,6 @@ pub mod channel;
 pub mod chip;
 pub mod energy;
 pub mod rank;
-pub mod stats;
 pub mod storage;
 pub mod timing;
 pub mod trace;

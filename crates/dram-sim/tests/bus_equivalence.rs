@@ -3,8 +3,7 @@
 //! The reference keeps every taken slot in a `BTreeSet` and walks the
 //! occupied run from the requested slot, which is the textbook
 //! definition of "first free cycle at or after `at_ps`". Random claim
-//! sequences must get identical slots, `issued()` and `utilization()`
-//! from both. The generator mixes the cases where a bitmap can go wrong:
+//! sequences must get identical slots and `issued()` counts from both. The generator mixes the cases where a bitmap can go wrong:
 //! claims on and around 64-slot word boundaries, backfill below earlier
 //! claims, repeated equal requests, and claims far past the end of the
 //! bitmap grown so far.
@@ -41,13 +40,6 @@ impl ReferenceBus {
 
     fn issued(&self) -> u64 {
         self.taken.len() as u64
-    }
-
-    fn utilization(&self, horizon_ps: u64) -> f64 {
-        if horizon_ps == 0 {
-            return 0.0;
-        }
-        (self.issued() * self.cycle_ps) as f64 / horizon_ps as f64
     }
 }
 
@@ -87,23 +79,14 @@ fn check_sequence(cycle_ps: u64, steps: &[(u8, u64, u64)]) -> Result<(), TestCas
         prev_ps = at_ps;
         max_slot = max_slot.max(got / cycle_ps);
     }
-    let horizon = (max_slot + 1) * cycle_ps;
-    for h in [0, cycle_ps, horizon / 2, horizon, 3 * horizon] {
-        prop_assert_eq!(
-            bus.utilization(h).to_bits(),
-            reference.utilization(h).to_bits(),
-            "utilization over {} ps",
-            h
-        );
-    }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random claim sequences grant identical slots, counts and
-    /// utilization on the bitmap and the sorted-set reference.
+    /// Random claim sequences grant identical slots and counts on the
+    /// bitmap and the sorted-set reference.
     #[test]
     fn bitmap_bus_matches_sorted_set_reference(
         cycle_ps in prop::sample::select(vec![1u64, 7, 833, 1000]),

@@ -1366,6 +1366,25 @@ mod tests {
     }
 
     #[test]
+    fn one_job_batch_costs_its_quote_exactly() {
+        // A program costs the same alone as inside a batch: the only job
+        // of a forward batch finishes exactly when the cost model, which
+        // times the program on its own, says it will.
+        let q = 8_380_417;
+        for n in [256usize, 1024, 4096] {
+            let mut exec = BatchExecutor::new(PimConfig::hbm2e(2)).unwrap();
+            let out = exec.run(&[NttJob::new(poly(n, q, 3), q)]).unwrap();
+            let quote = exec.cost_model().transform_cost(n);
+            assert_eq!(
+                out.latency_ns.to_bits(),
+                quote.to_bits(),
+                "N={n}: batch {} ns vs quote {quote} ns",
+                out.latency_ns
+            );
+        }
+    }
+
+    #[test]
     fn sharded_topology_runs_and_reports_per_channel() {
         let config = PimConfig::hbm2e(2).with_topology(Topology::new(2, 2, 2));
         let mut exec = BatchExecutor::new(config).unwrap();
